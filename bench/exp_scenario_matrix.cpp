@@ -128,7 +128,7 @@ int main(int argc, char** argv) {
 
     sim::EngineConfig ecfg;
     ecfg.t_total = sc.horizon;
-    const sim::Engine engine(regime->sampler(sc.horizon), ecfg);
+    const sim::Engine engine(*regime, ecfg);
 
     const std::vector<sim::SimJob> jobs{
         sim::SimJob::at_oci("light", lw.delta, sc.nominal_mtbf),
@@ -181,7 +181,7 @@ int main(int argc, char** argv) {
       obs::EventRecorder recorder;
       sim::EngineConfig acfg = ecfg;
       acfg.sink = &recorder;
-      const sim::Engine audit_engine(regime->sampler(sc.horizon), acfg);
+      const sim::Engine audit_engine(*regime, acfg);
       try {
         for (std::size_t r = 0; r < run.reps; ++r) {
           recorder.clear();

@@ -8,8 +8,9 @@
 // (checked here and enforced by tests/sim/trace_replay_test.cpp and
 // tests/sim/kernel_test.cpp):
 //
-//   sampled   every campaign re-samples its failure streams draw by draw
-//             (the historical path: per-draw dispatch, per-campaign pools)
+//   sampled   every campaign re-samples its failure streams: each
+//             repetition batch-samples its own trace, replays it through
+//             the event loop and drops it (no store, per-campaign pools)
 //   replayed  a sim::TraceStore samples each stream once (build time is
 //             charged to this mode) and every campaign replays plain arrays
 //             through the event loop (flat_kernel off)
@@ -17,7 +18,7 @@
 //             whole k range in one replayed pass sharing each gap's
 //             light-weight prefix
 //   kernel    TraceStore + the flat replay kernel (sim/kernel.h): baseline
-//             campaigns through sim::flat_replay, the k range through the
+//             campaigns through sim::try_flat_replay, the k range through the
 //             kernel sweep — batched passes over the trace's prefix-sum
 //             arrays, no virtual dispatch in the inner loops
 //
@@ -135,7 +136,7 @@ int main(int argc, char** argv) {
   bench::BenchCampaigns campaigns(workers, reps);
   std::size_t gaps_per_rep_total = 0;
 
-  // -- sampled: the historical per-draw path, fresh pool per campaign.
+  // -- sampled: a trace per repetition per campaign, fresh pool per campaign.
   auto run_sampled = [&]() {
     SweepUsefulByK u;
     const sim::SimResult base = loop.run_many(jobs, baseline, reps, seed, workers);
@@ -181,7 +182,7 @@ int main(int argc, char** argv) {
   };
 
   // -- kernel: store + flat kernel for everything — the baseline campaigns
-  //    dispatch to sim::flat_replay, the k range to the kernel sweep.
+  //    dispatch to sim::try_flat_replay, the k range to the kernel sweep.
   auto run_kernel = [&]() {
     SweepUsefulByK u;
     const sim::TraceStore traces(fast, seed);
@@ -243,7 +244,8 @@ int main(int argc, char** argv) {
               "repetition set; bit-identity across modes: %s.\n",
               campaigns_per_sweep, n_k + 1, reps, gaps_per_rep_total,
               bit_identical ? "OK" : "FAILED");
-  bench::note("Replay removes the per-draw dispatch and RNG work; the sweep "
+  bench::note("Replay samples each failure stream once, not once per "
+              "campaign; the sweep "
               "evaluator shares each gap's light-weight prefix across the "
               "whole k range; the flat kernel additionally strips the "
               "per-segment virtual dispatch and event bookkeeping into a "

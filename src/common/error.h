@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 
 namespace shiraz {
 
@@ -32,8 +33,14 @@ class IoError : public Error {
 namespace detail {
 [[noreturn]] inline void throw_invalid_argument(const char* expr, const char* file, int line,
                                                 const std::string& msg) {
+  // Base name only: messages reach clients (serve error responses), and
+  // their bytes must not depend on the directory the library was built in.
+  // With no separator, npos + 1 wraps to 0 and the whole name is kept.
+  const std::string_view path(file);
+  const std::size_t slash = path.find_last_of("/\\");
   std::ostringstream os;
-  os << file << ':' << line << ": requirement `" << expr << "` failed";
+  os << path.substr(slash + 1) << ':' << line << ": requirement `" << expr
+     << "` failed";
   if (!msg.empty()) os << ": " << msg;
   throw InvalidArgument(os.str());
 }

@@ -30,29 +30,6 @@ void event_times_to_gaps(const std::vector<Seconds>& times, Seconds horizon,
 
 }  // namespace
 
-std::function<Seconds(Rng&, Seconds)> FailureRegime::sampler(Seconds horizon) const {
-  SHIRAZ_REQUIRE(horizon > 0.0, "regime sampler horizon must be positive");
-  struct Cursor {
-    std::vector<Seconds> gaps;
-    std::size_t next = 0;
-  };
-  auto cursor = std::make_shared<Cursor>();
-  FailureRegimePtr self = clone();
-  return [cursor, horizon,
-          regime = std::shared_ptr<const FailureRegime>(std::move(self))](
-             Rng& rng, Seconds gap_start) -> Seconds {
-    if (gap_start == 0.0) {  // first draw of a (re)run: materialize afresh
-      cursor->gaps.clear();
-      cursor->next = 0;
-      regime->sample_gaps(rng, horizon, cursor->gaps);
-    }
-    SHIRAZ_REQUIRE(cursor->next < cursor->gaps.size(),
-                   "regime sampler drawn past its horizon — serial-only "
-                   "adapter misused (replay a sim::TraceStore instead)");
-    return cursor->gaps[cursor->next++];
-  };
-}
-
 // ---------------------------------------------------------------------------
 // RenewalRegime
 
@@ -294,16 +271,6 @@ std::string DriftingWeibullRegime::name() const {
 
 FailureRegimePtr DriftingWeibullRegime::clone() const {
   return std::make_unique<DriftingWeibullRegime>(*this);
-}
-
-std::function<Seconds(Rng&, Seconds)> DriftingWeibullRegime::sampler(
-    Seconds horizon) const {
-  SHIRAZ_REQUIRE(horizon > 0.0, "regime sampler horizon must be positive");
-  // gap_at is a pure function of (rng, gap_start): no cursor, safe for
-  // parallel campaigns exactly like a plain Distribution-backed sampler.
-  return [self = *this](Rng& rng, Seconds gap_start) {
-    return self.gap_at(rng, gap_start);
-  };
 }
 
 // ---------------------------------------------------------------------------

@@ -7,10 +7,11 @@
 // shapes. A FailureRegime generalizes reliability::Distribution to such
 // processes: instead of one i.i.d. draw at a time, a regime generates the
 // WHOLE gap sequence of one campaign repetition in a single deterministic
-// pass over the RNG. That batch pass is exactly the contract
-// sim::TraceStore replay needs — same seed, same gaps, policy-independent —
-// so every regime drops into the existing replay/--jobs-bit-identity
-// machinery unchanged (DESIGN.md §8; tests/sim/regime_replay_test.cpp).
+// pass over the RNG. That batch pass is exactly the failure process a
+// sim::Engine samples each repetition's trace from — same seed, same gaps,
+// policy-independent — so `sim::Engine(regime, config)` runs live or
+// replayed, serial or parallel, with the --jobs bit-identity renewal
+// distributions enjoy (DESIGN.md §8; tests/sim/regime_replay_test.cpp).
 //
 // Regimes with a well-defined per-draw form (Markov modulation with explicit
 // phase state, the drifting Weibull's pure (rng, gap_start) function) expose
@@ -18,7 +19,6 @@
 // the merge-based regimes (pools, cascades) are batch-only by nature.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -39,8 +39,9 @@ class FailureRegime {
   /// Appends inter-failure gaps to `out` until their running sum reaches
   /// `horizon` (the final gap is the first crossing it) — the same stopping
   /// contract as Distribution::sample_gaps, and the entry point
-  /// sim::TraceStore materializes repetitions through. Deterministic: equal
-  /// RNG state and horizon give bit-equal gap vectors.
+  /// sim::Engine samples repetitions through. Deterministic: equal RNG
+  /// state and horizon give bit-equal gap vectors; const, so concurrent
+  /// calls are safe.
   virtual void sample_gaps(Rng& rng, Seconds horizon,
                            std::vector<Seconds>& out) const = 0;
 
@@ -51,18 +52,6 @@ class FailureRegime {
   virtual std::string name() const = 0;
 
   virtual std::unique_ptr<FailureRegime> clone() const = 0;
-
-  /// Live-sampling adapter matching the sim::GapSampler signature
-  /// `Seconds(Rng&, Seconds gap_start)`: the first draw of a run
-  /// (gap_start == 0) materializes the full sequence through sample_gaps —
-  /// consuming exactly the draws a TraceStore materialization would, so a
-  /// live serial run is bit-identical to replaying the store — and later
-  /// draws walk the buffer. The closure carries a cursor, so it is for
-  /// SERIAL use only: parallel campaigns must replay from a sim::TraceStore
-  /// built over the same regime (regimes that override this with a pure
-  /// stateless function say so). The alarm RNG forks off the seed, never
-  /// generator state, so the up-front draw burst cannot perturb prediction.
-  virtual std::function<Seconds(Rng&, Seconds)> sampler(Seconds horizon) const;
 };
 
 using FailureRegimePtr = std::unique_ptr<FailureRegime>;
@@ -191,8 +180,8 @@ class HeterogeneousPoolsRegime final : public FailureRegime {
 /// Non-stationary Weibull whose shape (and optionally MTBF) drifts linearly
 /// over [0, ramp], then holds: gap at absolute time t draws from
 /// Weibull(beta(t), scale chosen so the mean is mtbf(t)). The per-draw form
-/// is a pure function of (rng, gap_start) — the existing sim::GapSampler
-/// contract verbatim — so sampler() is stateless and thread-safe.
+/// is a pure function of (rng, gap_start) — the sim::GapSampler contract
+/// verbatim — and sample_gaps is bit-identical to looping it.
 class DriftingWeibullRegime final : public FailureRegime {
  public:
   struct Config {
@@ -222,9 +211,6 @@ class DriftingWeibullRegime final : public FailureRegime {
   Seconds mean_gap() const override;
   std::string name() const override;
   FailureRegimePtr clone() const override;
-
-  /// Stateless, thread-safe override of the live adapter (gap_at is pure).
-  std::function<Seconds(Rng&, Seconds)> sampler(Seconds horizon) const override;
 
  private:
   Config config_;

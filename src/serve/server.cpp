@@ -7,6 +7,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/error.h"
@@ -201,6 +202,14 @@ void Server::handle_connection(int fd) {
       }
     }
     buffer.erase(0, start);
+    if (open && buffer.size() > kMaxRequestLine) {
+      const std::string out =
+          error_response("request line exceeds " +
+                         std::to_string(kMaxRequestLine) + " bytes") +
+          "\n";
+      write_all(fd, out.data(), out.size());
+      break;
+    }
   }
   untrack(fd);
   ::close(fd);

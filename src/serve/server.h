@@ -3,6 +3,9 @@
 // One accept thread hands each connection to a common::ThreadPool worker;
 // the worker reads newline-delimited requests, answers each through
 // Service::handle_line, and writes one response line per request, in order.
+// A pending line longer than Server::kMaxRequestLine bytes is answered with
+// one error line and the connection is closed, so a client that never sends
+// a newline cannot grow the daemon's memory without bound.
 // A `shutdown` request (or Server::request_stop) stops the accept loop and
 // shuts down every live connection's socket, so blocked reads return and
 // workers drain promptly. request_stop only flips flags and shuts down file
@@ -39,6 +42,10 @@ struct ServerConfig {
 
 class Server {
  public:
+  /// Longest request line a connection may leave pending (valid requests
+  /// are a few hundred bytes).
+  static constexpr std::size_t kMaxRequestLine = 64 * 1024;
+
   /// Binds and listens; throws IoError if the socket cannot be created
   /// (path too long, directory missing or unwritable, ...). Connections are
   /// accepted once serve_async() (or serve()) starts the accept loop.

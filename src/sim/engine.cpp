@@ -9,6 +9,7 @@
 #include "common/thread_pool.h"
 #include "obs/event.h"
 #include "obs/metrics.h"
+#include "reliability/regimes.h"
 #include "sim/kernel.h"
 #include "sim/trace.h"
 
@@ -53,29 +54,49 @@ struct SimCounters {
     gaps->add(static_cast<std::uint64_t>(res.failures) + 1);
   }
 };
+
+/// Wraps anything with a const `sample_gaps(rng, horizon, out)` batch pass
+/// (a Distribution or a FailureRegime). shared_ptr keeps the lambda
+/// copyable, as std::function requires.
+template <typename Process>
+FailureProcess batch_process(std::unique_ptr<Process> owned) {
+  return [process = std::shared_ptr<const Process>(std::move(owned))](
+             Rng& rng, Seconds horizon, std::vector<Seconds>& out) {
+    process->sample_gaps(rng, horizon, out);
+  };
+}
 }  // namespace
 
 Engine::Engine(const reliability::Distribution& failure_dist, const EngineConfig& config)
-    : dist_(failure_dist.clone()), config_(config) {
+    : process_(batch_process(failure_dist.clone())), config_(config) {
   validate_config(config);
-  // shared_ptr keeps the lambda copyable, as std::function requires; the
-  // engine keeps its own handle so trace stores can batch-sample directly.
-  gap_sampler_ = [dist = dist_](Rng& rng, Seconds) { return dist->sample(rng); };
 }
 
-Engine::Engine(GapSampler sampler, const EngineConfig& config)
-    : gap_sampler_(std::move(sampler)), config_(config) {
+Engine::Engine(const reliability::FailureRegime& regime, const EngineConfig& config)
+    : process_(batch_process(regime.clone())), config_(config) {
   validate_config(config);
-  SHIRAZ_REQUIRE(gap_sampler_ != nullptr, "gap sampler must be callable");
+}
+
+Engine::Engine(GapSampler sampler, const EngineConfig& config) : config_(config) {
+  validate_config(config);
+  SHIRAZ_REQUIRE(sampler != nullptr, "gap sampler must be callable");
+  // Each gap starts at the previous failure time: the running sum of the
+  // gaps drawn so far, which no policy can influence.
+  process_ = [sampler = std::move(sampler)](Rng& rng, Seconds horizon,
+                                            std::vector<Seconds>& out) {
+    Seconds t = 0.0;
+    while (t < horizon) {
+      const Seconds gap = sampler(rng, t);
+      out.push_back(gap);
+      t += gap;
+    }
+  };
 }
 
 SimResult Engine::run(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
                       Rng& rng, const AlarmSource* alarms) const {
-  const SimResult res = run_impl(jobs, scheduler, rng, nullptr, alarms, config_.sink);
-  if (config_.metrics != nullptr) {
-    SimCounters(*config_.metrics).note(res, /*used_kernel=*/false);
-  }
-  return res;
+  const FailureTrace trace = FailureTrace::sample(process_, rng, config_.t_total);
+  return replay(jobs, scheduler, trace, rng, alarms);
 }
 
 SimResult Engine::replay(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
@@ -92,7 +113,7 @@ SimResult Engine::replay(const std::vector<SimJob>& jobs, const Scheduler& sched
                  "trace horizon does not cover the engine horizon");
   bool used_kernel = false;
   const SimResult res =
-      run_impl(jobs, scheduler, rng, &trace, alarms, config_.sink, &used_kernel);
+      run_impl(jobs, scheduler, rng, trace, alarms, config_.sink, &used_kernel);
   if (config_.metrics != nullptr) {
     SimCounters(*config_.metrics).note(res, used_kernel);
   }
@@ -100,7 +121,7 @@ SimResult Engine::replay(const std::vector<SimJob>& jobs, const Scheduler& sched
 }
 
 SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
-                           Rng& rng, const FailureTrace* trace,
+                           Rng& rng, const FailureTrace& trace,
                            const AlarmSource* alarms, obs::EventSink* sink,
                            bool* used_kernel) const {
   SHIRAZ_REQUIRE(!jobs.empty(), "need at least one job");
@@ -110,14 +131,14 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
   }
   if (used_kernel != nullptr) *used_kernel = false;
 
-  // Closed-form-eligible replays take the flat kernel (sim/kernel.h): the
-  // same result, bit for bit, from a batched pass over the trace's
+  // Closed-form-eligible runs take the flat kernel (sim/kernel.h): the same
+  // result, bit for bit, from a batched pass over the trace's
   // structure-of-arrays buffers instead of the per-event walk below.
-  // Ineligible configurations — live runs, alarms, sinks, costs, aperiodic
-  // schedules, stateful policies — fall through to the event loop.
-  if (trace != nullptr && config_.flat_kernel) {
+  // Ineligible configurations — alarms, sinks, costs, aperiodic schedules,
+  // stateful policies — fall through to the event loop.
+  if (config_.flat_kernel) {
     SimResult flat;
-    if (try_flat_replay(config_, jobs, scheduler, alarms, sink, *trace, &flat)) {
+    if (try_flat_replay(config_, jobs, scheduler, alarms, sink, trace, &flat)) {
       if (used_kernel != nullptr) *used_kernel = true;
       return flat;
     }
@@ -151,18 +172,11 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
   Seconds now = 0.0;
   Seconds gap_start = 0.0;
 
-  // Failure clock: live runs sample the next gap and add it to the clock;
-  // replays read the trace's cached prefix sums (FailureTrace::fail_time),
-  // which the trace built with the same sequential additions — at every
-  // failure the clock sits exactly on the previous failure time, so
-  // `at + gap` and the cached sum are the same double (bit-identity
-  // regression-tested in trace_replay_test).
+  // Failure clock: a cursor over the trace's prefix-summed failure times
+  // (FailureTrace::fail_time). Failures are never drawn here; the trace
+  // holds every one the run can reach.
   std::size_t trace_cursor = 0;
-  auto next_fail_time = [&](Seconds at) {
-    return trace != nullptr ? trace->fail_time(trace_cursor++)
-                            : at + gap_sampler_(rng, at);
-  };
-  Seconds next_fail = next_fail_time(0.0);
+  Seconds next_fail = trace.fail_time(trace_cursor++);
 
   // Prediction state: the alarms of the currently armed gap (sorted, filtered
   // to [gap_start, min(next_fail, horizon))), a cursor over them, and at most
@@ -215,7 +229,7 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
     emit(obs::EventKind::kFailure, now, 0.0, hit ? app_id(*hit) : obs::kNoApp);
     last_gap_length = now - gap_start;
     gap_start = now;
-    next_fail = next_fail_time(now);
+    next_fail = trace.fail_time(trace_cursor++);
     std::fill(ckpts_gap.begin(), ckpts_gap.end(), 0);
     arm_alarms();
     decision = scheduler.on_gap_start(make_ctx(0, now));
@@ -446,7 +460,13 @@ CampaignSummary Engine::run_campaign(const std::vector<SimJob>& jobs,
   auto run_rep = [&](std::size_t r, const Scheduler& policy,
                      const AlarmSource* source) {
     Rng rng = master.fork(r);
-    const FailureTrace* trace = traces != nullptr ? &traces->trace(r) : nullptr;
+    // Without a store the repetition samples its own trace — exactly what
+    // TraceStore::trace(r) would hold — and drops it when the run ends.
+    std::optional<FailureTrace> sampled;
+    const FailureTrace& trace =
+        traces != nullptr
+            ? traces->trace(r)
+            : sampled.emplace(FailureTrace::sample(process_, rng, config_.t_total));
     bool used_kernel = false;
     results[r] = run_impl(jobs, policy, rng, trace, source,
                           sink != nullptr ? &recorders[r] : nullptr,

@@ -1,7 +1,11 @@
 // The discrete-event checkpoint/restart simulator (paper Section 4).
 //
-// One machine runs one application at a time. Failures arrive as a renewal
-// process drawn from any reliability::Distribution. The running application
+// One machine runs one application at a time. Failures arrive from a
+// failure process — a renewal reliability::Distribution, a correlated
+// reliability::FailureRegime, or a non-stationary GapSampler — that each
+// repetition samples once, up front, into a FailureTrace; the run then
+// reads every failure time from that trace (one failure clock for live runs
+// and replays alike). The running application
 // computes for an interval given by its schedule, then writes a checkpoint;
 // a failure striking before the checkpoint completes wipes the whole segment
 // (compute plus partial write) back to the last completed checkpoint. The
@@ -29,6 +33,10 @@ class EventSink;
 class MetricsRegistry;
 }  // namespace shiraz::obs
 
+namespace shiraz::reliability {
+class FailureRegime;
+}  // namespace shiraz::reliability
+
 namespace shiraz::sim {
 
 class FailureTrace;
@@ -51,7 +59,7 @@ struct EngineConfig {
   /// compare per would-be event. Single runs stream events as they happen;
   /// run_campaign buffers per repetition and merges in repetition order.
   obs::EventSink* sink = nullptr;
-  /// Dispatch trace replays of closed-form-eligible configurations (free
+  /// Dispatch runs of closed-form-eligible configurations (free
   /// restarts/switches, periodic schedules, no alarms, no sink, a flat
   /// phase-plan scheduler — see sim/kernel.h) to the flat replay kernel.
   /// The kernel is bit-identical to the event loop (tests/sim/kernel_test),
@@ -71,8 +79,17 @@ struct EngineConfig {
 
 /// Samples the next inter-failure gap given the RNG and the absolute time of
 /// the gap's start — the hook for non-stationary failure processes (e.g. an
-/// aging system whose MTBF shrinks over the campaign).
+/// aging system whose MTBF shrinks over the campaign). Called only while
+/// sampling a trace, with gap_start = the running sum of the gaps so far.
 using GapSampler = std::function<Seconds(Rng& rng, Seconds gap_start)>;
+
+/// A failure process as one batch pass over a repetition's RNG stream:
+/// appends inter-failure gaps to `out` until their running sum reaches
+/// `horizon` (the final gap is the first crossing it) — the
+/// Distribution::sample_gaps / FailureRegime::sample_gaps contract. Must be
+/// deterministic and safe to call concurrently (campaign workers share it).
+using FailureProcess =
+    std::function<void(Rng& rng, Seconds horizon, std::vector<Seconds>& out)>;
 
 /// Shared campaign plumbing for sweeps that run many campaigns over the same
 /// repetitions (see run_many/run_campaign overloads below). Defaults
@@ -83,9 +100,10 @@ struct CampaignOptions {
   /// Consulted once per armed gap when non-null (see run()).
   const AlarmSource* alarms = nullptr;
   /// When non-null, repetition r replays `traces->trace(r)` instead of
-  /// sampling gaps — bit-identical output, one sampling pass amortized over
-  /// every campaign sharing the store. Must have been built for the same
-  /// seed and a horizon covering this engine's (both SHIRAZ_REQUIREd).
+  /// sampling a trace of its own — bit-identical output, one sampling pass
+  /// amortized over every campaign sharing the store. Must have been built
+  /// for the same seed and a horizon covering this engine's (both
+  /// SHIRAZ_REQUIREd).
   const TraceStore* traces = nullptr;
   /// When non-null, parallel repetitions borrow this pool instead of
   /// spawning (and joining) a fresh one per campaign.
@@ -102,7 +120,13 @@ struct CampaignOptions {
 
 class Engine {
  public:
+  /// Renewal failures: each repetition batch-samples
+  /// `failure_dist.sample_gaps`.
   Engine(const reliability::Distribution& failure_dist, const EngineConfig& config);
+
+  /// Correlated failures: each repetition batch-samples
+  /// `regime.sample_gaps`, so parallel campaigns need no TraceStore.
+  Engine(const reliability::FailureRegime& regime, const EngineConfig& config);
 
   /// Non-stationary variant: gaps come from `sampler` instead of a fixed
   /// distribution.
@@ -113,6 +137,10 @@ class Engine {
   /// with the same seed see identical failure times regardless of policy —
   /// common-random-numbers variance reduction for policy comparisons.
   ///
+  /// The run samples its whole FailureTrace from `rng` in one batched pass
+  /// (every gap up to the first one crossing the horizon) and then replays
+  /// it (see replay()), flat kernel included.
+  ///
   /// `alarms`, when non-null, is consulted once per armed gap and its alarms
   /// are delivered to the scheduler via on_alarm (see alarm.h); predictors
   /// draw from a dedicated stream forked off `rng`, so the failure sequence
@@ -121,11 +149,11 @@ class Engine {
   SimResult run(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
                 Rng& rng, const AlarmSource* alarms = nullptr) const;
 
-  /// Replays one campaign from a materialized failure trace instead of
-  /// sampling: the engine walks the trace with a cursor and reconstructs
-  /// failure times with the same `now + gap` additions the live run
-  /// performs, so the result is bit-identical to run() with the RNG the
-  /// trace was sampled from. The trace's horizon must cover the engine's.
+  /// Replays one campaign from a materialized failure trace: the engine
+  /// walks the trace's prefix-summed failure times with a cursor. run()
+  /// goes through here too, so the result is bit-identical to run() with
+  /// the RNG the trace was sampled from. The trace's horizon must cover the
+  /// engine's.
   SimResult replay(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
                    const FailureTrace& trace) const;
 
@@ -176,26 +204,21 @@ class Engine {
 
   const EngineConfig& config() const { return config_; }
 
-  /// The gap sampler driving the failure process (trace materialization).
-  const GapSampler& gap_sampler() const { return gap_sampler_; }
-
-  /// The distribution behind the sampler when the engine was constructed
-  /// from one, else nullptr — lets TraceStore take the batched
-  /// Distribution::sample_gaps entry point instead of the per-draw hook.
-  std::shared_ptr<const reliability::Distribution> failure_distribution() const {
-    return dist_;
-  }
+  /// The batch-sampling failure process every repetition's trace comes
+  /// from (TraceStore copies it).
+  const FailureProcess& failure_process() const { return process_; }
 
  private:
-  /// `used_kernel`, when non-null, reports whether the flat replay kernel
-  /// (rather than the event loop) produced the result — telemetry only.
+  /// Evaluates one repetition over `trace`; `rng` seeds only the alarm
+  /// stream. `used_kernel`, when non-null, reports whether the flat replay
+  /// kernel (rather than the event loop) produced the result — telemetry
+  /// only.
   SimResult run_impl(const std::vector<SimJob>& jobs, const Scheduler& scheduler,
-                     Rng& rng, const FailureTrace* trace,
+                     Rng& rng, const FailureTrace& trace,
                      const AlarmSource* alarms, obs::EventSink* sink,
                      bool* used_kernel = nullptr) const;
 
-  GapSampler gap_sampler_;
-  std::shared_ptr<const reliability::Distribution> dist_;
+  FailureProcess process_;
   EngineConfig config_;
 };
 

@@ -212,41 +212,20 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
 
 }  // namespace
 
-KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
-                                          const std::vector<SimJob>& jobs,
-                                          const Scheduler& scheduler,
-                                          const AlarmSource* alarms,
-                                          const obs::EventSink* sink) {
-  FlatPlan plan;
-  if (const char* reason =
-          check_and_plan(config, jobs, scheduler, alarms, sink, &plan)) {
-    return KernelEligibility{false, reason};
-  }
-  return KernelEligibility{true, ""};
-}
-
-SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                      const Scheduler& scheduler, const FailureTrace& trace) {
-  FlatPlan flat;
-  const char* reason =
-      check_and_plan(config, jobs, scheduler, nullptr, nullptr, &flat);
-  SHIRAZ_REQUIRE(reason == nullptr,
-                 std::string("flat_replay on an ineligible configuration: ") +
-                     reason);
-  return run_flat(config, jobs, scheduler, flat, trace);
-}
-
-bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                     const Scheduler& scheduler, const AlarmSource* alarms,
-                     const obs::EventSink* sink, const FailureTrace& trace,
-                     SimResult* out) {
+KernelEligibility try_flat_replay(const EngineConfig& config,
+                                  const std::vector<SimJob>& jobs,
+                                  const Scheduler& scheduler,
+                                  const AlarmSource* alarms,
+                                  const obs::EventSink* sink,
+                                  const FailureTrace& trace, SimResult* out) {
   SHIRAZ_REQUIRE(out != nullptr, "try_flat_replay needs an output slot");
   FlatPlan flat;
-  if (check_and_plan(config, jobs, scheduler, alarms, sink, &flat) != nullptr) {
-    return false;
+  if (const char* reason =
+          check_and_plan(config, jobs, scheduler, alarms, sink, &flat)) {
+    return KernelEligibility{false, reason};
   }
   *out = run_flat(config, jobs, scheduler, flat, trace);
-  return true;
+  return KernelEligibility{true, ""};
 }
 
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,

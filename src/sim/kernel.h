@@ -4,10 +4,11 @@
 // periodic schedules, no alarm source, no event sink, and a scheduler whose
 // per-gap behavior is a fixed phase plan — a campaign over a materialized
 // FailureTrace is fully determined by the trace's gap/prefix-sum arrays.
-// flat_replay() walks those arrays directly: no virtual next_interval per
+// try_flat_replay() walks those arrays directly: no virtual next_interval per
 // segment, no SchedContext construction, no per-event emit checks, no
 // per-gap checkpoint-count vectors — just the engine's three comparisons and
-// its accumulator additions per segment.
+// its accumulator additions per segment. Every Engine run replays a trace
+// (live runs sample theirs first), so every run is a candidate.
 //
 // Bit-identity contract (the same one sim/optimizer.cpp's sweep documents):
 // the kernel performs the engine's useful/io/lost/truncated additions on the
@@ -15,10 +16,10 @@
 // the engine's exact comparison structure (`write_start = now + tau;
 // seg_end = write_start + delta`; truncate iff horizon <= min(seg_end,
 // next_fail); fail iff next_fail < seg_end), and reads failure times from
-// FailureTrace::fail_times() — prefix sums built with the additions a live
-// run performs. The result therefore equals Engine::replay bit for bit
-// (enforced by tests/sim/kernel_test.cpp and micro_engine_throughput
-// --check); Engine::run_impl dispatches here automatically when
+// the same FailureTrace::fail_times() prefix sums the event loop reads. The
+// result therefore equals the event loop's bit for bit (enforced by
+// tests/sim/kernel_test.cpp and micro_engine_throughput --check);
+// Engine::run_impl dispatches here automatically when
 // EngineConfig::flat_kernel is set and eligibility holds.
 #pragma once
 
@@ -32,7 +33,7 @@ struct SweepUseful;
 
 /// Why a configuration can(not) take the flat kernel. `reason` points at a
 /// static string ("" when eligible) so the check is allocation-free — it runs
-/// once per replayed repetition.
+/// once per repetition.
 struct KernelEligibility {
   bool eligible = false;
   const char* reason = "";
@@ -40,7 +41,8 @@ struct KernelEligibility {
   explicit operator bool() const { return eligible; }
 };
 
-/// Checks every eligibility rule the kernel relies on:
+/// The kernel's one entry point. Checks every eligibility rule the kernel
+/// relies on:
 ///  * config models free restarts and switches (restart_cost == switch_cost
 ///    == 0) and has no engine-level event sink;
 ///  * no alarm source and no campaign sink (pass the call-site values);
@@ -48,30 +50,18 @@ struct KernelEligibility {
 ///  * the scheduler is exactly (typeid, not is-a — subclasses may override
 ///    hooks) AlternateAtFailure, ShirazPairScheduler, MultiSwitchScheduler,
 ///    or PairRotationScheduler, with an app count the policy accepts.
-/// Anything else falls back to the event loop, which preserves both behavior
-/// and error messages (e.g. a pair policy given three apps still throws the
-/// policy's own InvalidArgument).
-KernelEligibility flat_kernel_eligibility(const EngineConfig& config,
-                                          const std::vector<SimJob>& jobs,
-                                          const Scheduler& scheduler,
-                                          const AlarmSource* alarms,
-                                          const obs::EventSink* sink);
-
-/// Replays one repetition through the flat kernel. Requires eligibility (see
-/// flat_kernel_eligibility) and a trace whose horizon covers the config's;
-/// returns exactly what Engine::replay returns for the same inputs.
-SimResult flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                      const Scheduler& scheduler, const FailureTrace& trace);
-
-/// The engine's dispatch entry: checks eligibility and, when it holds, runs
-/// the kernel into `*out` in one pass — the phase plan is built exactly once
-/// per repetition (flat_kernel_eligibility followed by flat_replay would
-/// build it twice). Returns false untouched when ineligible, so the caller
-/// falls back to the event loop.
-bool try_flat_replay(const EngineConfig& config, const std::vector<SimJob>& jobs,
-                     const Scheduler& scheduler, const AlarmSource* alarms,
-                     const obs::EventSink* sink, const FailureTrace& trace,
-                     SimResult* out);
+/// When they hold, replays `trace` (whose horizon must cover the config's)
+/// into `*out` — exactly what the event loop returns for the same inputs —
+/// building the phase plan once. Otherwise leaves `*out` untouched and
+/// returns the failed rule's reason, so the caller falls back to the event
+/// loop, which preserves both behavior and error messages (e.g. a pair
+/// policy given three apps still throws the policy's own InvalidArgument).
+KernelEligibility try_flat_replay(const EngineConfig& config,
+                                  const std::vector<SimJob>& jobs,
+                                  const Scheduler& scheduler,
+                                  const AlarmSource* alarms,
+                                  const obs::EventSink* sink,
+                                  const FailureTrace& trace, SimResult* out);
 
 /// One repetition of the shared-prefix k sweep on the kernel: the flat
 /// counterpart of sim/optimizer.cpp's sweep_one_rep for periodic schedules,

@@ -1,25 +1,28 @@
 #include "sim/trace.h"
 
 #include "obs/metrics.h"
-#include "reliability/regimes.h"
 
 namespace shiraz::sim {
+
+namespace {
+EngineConfig horizon_config(Seconds horizon) {
+  EngineConfig config;
+  config.t_total = horizon;
+  return config;
+}
+}  // namespace
 
 FailureTrace::FailureTrace(std::vector<Seconds> gaps, Seconds horizon)
     : gaps_(std::move(gaps)), horizon_(horizon) {
   SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
   SHIRAZ_REQUIRE(!gaps_.empty(), "trace needs at least one gap");
-  // Prefix-sum the failure times with the same sequential additions a live
-  // run performs (its clock sits on fail_{i-1} exactly when it adds gap_i),
-  // so fail_time(i) replays bit-identically to the engine's `now + gap`.
   fail_times_.resize(gaps_.size());
   Seconds t = 0.0;
   for (std::size_t i = 0; i < gaps_.size(); ++i) {
     t += gaps_[i];
     fail_times_[i] = t;
   }
-  // The gaps must be exactly the draws a live run consumes: the running sum
-  // crosses the horizon at the last gap and not before.
+  // The running sum crosses the horizon at the last gap and not before.
   if (gaps_.size() >= 2) {
     SHIRAZ_REQUIRE(fail_times_[gaps_.size() - 2] < horizon_,
                    "trace has draws past the horizon");
@@ -28,22 +31,24 @@ FailureTrace::FailureTrace(std::vector<Seconds> gaps, Seconds horizon)
                  "trace stops short of the horizon");
 }
 
+FailureTrace FailureTrace::sample(const FailureProcess& process, Rng& rng,
+                                  Seconds horizon) {
+  std::vector<Seconds> gaps;
+  process(rng, horizon, gaps);
+  return FailureTrace(std::move(gaps), horizon);
+}
+
 TraceStore::TraceStore(const Engine& engine, std::uint64_t seed)
     : TraceStore(engine, seed, engine.config().t_total) {}
 
 TraceStore::TraceStore(const Engine& engine, std::uint64_t seed, Seconds horizon)
-    : sampler_(engine.gap_sampler()),
-      dist_(engine.failure_distribution()),
-      seed_(seed),
-      horizon_(horizon) {
+    : process_(engine.failure_process()), seed_(seed), horizon_(horizon) {
   SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
 }
 
 TraceStore::TraceStore(const reliability::FailureRegime& regime,
                        std::uint64_t seed, Seconds horizon)
-    : regime_(regime.clone()), seed_(seed), horizon_(horizon) {
-  SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
-}
+    : TraceStore(Engine(regime, horizon_config(horizon)), seed, horizon) {}
 
 void TraceStore::set_metrics(obs::MetricsRegistry* registry) {
   if (registry == nullptr) {
@@ -113,22 +118,7 @@ std::size_t TraceStore::total_gaps() const {
 std::unique_ptr<FailureTrace> TraceStore::materialize(std::size_t rep) const {
   // The stream campaigns assign to repetition `rep` (see Engine::run_campaign).
   Rng rng = Rng(seed_).fork(rep);
-  std::vector<Seconds> gaps;
-  if (regime_ != nullptr) {
-    regime_->sample_gaps(rng, horizon_, gaps);
-  } else if (dist_ != nullptr) {
-    dist_->sample_gaps(rng, horizon_, gaps);
-  } else {
-    // Non-stationary sampler: feed it the same policy-independent failure
-    // times (prefix sums of the gaps) a live run passes as gap_start.
-    Seconds t = 0.0;
-    while (t < horizon_) {
-      const Seconds gap = sampler_(rng, t);
-      gaps.push_back(gap);
-      t += gap;
-    }
-  }
-  return std::make_unique<FailureTrace>(std::move(gaps), horizon_);
+  return std::make_unique<FailureTrace>(FailureTrace::sample(process_, rng, horizon_));
 }
 
 }  // namespace shiraz::sim

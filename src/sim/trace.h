@@ -1,20 +1,19 @@
-// Failure-trace memoization: sample each failure stream once, replay it
-// everywhere.
+// Failure traces: every simulated repetition replays one.
 //
 // Engine::run draws failures identically for a given seed regardless of
-// policy (common random numbers), yet a switch-point sweep re-derives that
-// identical stream draw by draw — a std::function call, a virtual
-// Distribution::sample and a pow/log1p inverse transform per gap, times reps,
-// times every candidate k. A FailureTrace materializes one repetition's
-// inter-failure gaps up to the horizon in a single batched pass
-// (reliability::Distribution::sample_gaps hoists the per-draw dispatch); a
-// TraceStore caches one trace per repetition, keyed by (seed, rep), so every
-// campaign over the same seed replays plain arrays instead.
+// policy (common random numbers). A FailureTrace materializes one
+// repetition's inter-failure gaps up to the horizon in a single batched pass
+// of the engine's FailureProcess (Distribution::sample_gaps,
+// FailureRegime::sample_gaps, or a GapSampler loop), and the engine reads
+// every failure time from it — a live run samples its own trace first and
+// replays it, so there is one failure clock. A TraceStore caches one trace
+// per repetition, keyed by (seed, rep), so every campaign over the same seed
+// replays plain arrays instead of re-sampling them.
 //
-// Replay is bit-identical to live sampling (tests/sim/trace_replay_test.cpp):
-// the trace stores gaps, the engine reconstructs failure times with the same
-// `now + gap` additions it performs live, and alarm RNGs fork from the seed —
-// not from generator state — so prediction runs replay unchanged too.
+// Replay of a stored trace is bit-identical to a live run
+// (tests/sim/trace_replay_test.cpp): both sample the same process from the
+// same stream `Rng(seed).fork(rep)`, and alarm RNGs fork from the seed — not
+// from generator state — so prediction runs replay unchanged too.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +25,6 @@
 #include "common/units.h"
 #include "sim/engine.h"
 
-namespace shiraz::reliability {
-class FailureRegime;
-}  // namespace shiraz::reliability
-
 namespace shiraz::obs {
 class Counter;
 class Gauge;
@@ -39,19 +34,22 @@ class MetricsRegistry;
 namespace shiraz::sim {
 
 /// One repetition's inter-failure gaps, materialized up to a horizon. The
-/// last gap is the first whose running sum crosses the horizon — exactly the
-/// draws a live Engine::run consumes, no more and no fewer.
+/// last gap is the first whose running sum crosses the horizon: every failure
+/// a run can reach, no more and no fewer.
 ///
 /// Alongside the gaps, the constructor caches the absolute failure times as
-/// prefix sums computed with the same sequential additions a live run
-/// performs (`fail_i = fail_{i-1} + gap_i`, starting from 0): at every
-/// failure the engine's clock sits exactly on the previous failure time, so
-/// `now + gap` and the cached prefix sum are the same double. Consumers
-/// (engine replay, the sweep/kernel paths) read fail_time() instead of
-/// re-deriving running sums per campaign.
+/// sequential prefix sums (`fail_i = fail_{i-1} + gap_i`, starting from 0).
+/// Consumers (the event loop, the sweep/kernel paths) read fail_time()
+/// instead of re-deriving running sums per campaign, so they all see the
+/// same doubles.
 class FailureTrace {
  public:
   FailureTrace(std::vector<Seconds> gaps, Seconds horizon);
+
+  /// Samples one repetition of `process` from `rng` up to `horizon` — the
+  /// pass behind both Engine::run and TraceStore.
+  static FailureTrace sample(const FailureProcess& process, Rng& rng,
+                             Seconds horizon);
 
   /// The i-th gap; replay cursors walk this in order.
   Seconds gap(std::size_t i) const {
@@ -59,8 +57,7 @@ class FailureTrace {
     return gaps_[i];
   }
 
-  /// Absolute time of the i-th failure (prefix sum of gaps [0, i]) —
-  /// bit-identical to the `now + gap` reconstruction a live run performs.
+  /// Absolute time of the i-th failure (prefix sum of gaps [0, i]).
   Seconds fail_time(std::size_t i) const {
     SHIRAZ_REQUIRE(i < fail_times_.size(),
                    "failure trace exhausted before the horizon");
@@ -84,11 +81,9 @@ class FailureTrace {
 };
 
 /// Lazily materialized per-repetition traces for one (engine, seed) pair.
-/// Repetition r samples with `Rng(seed).fork(r)` — the stream Engine
-/// campaigns assign to repetition r — via the engine's distribution's batched
-/// sample_gaps when the engine was built from a Distribution, or its
-/// GapSampler otherwise (non-stationary processes memoize just as well: the
-/// gap-start argument is the same policy-independent prefix sum either way).
+/// Repetition r samples the engine's FailureProcess with `Rng(seed).fork(r)`
+/// — the stream and the pass an Engine campaign without a store uses for
+/// repetition r.
 ///
 /// Thread-safe; campaigns call ensure() up front so parallel repetitions only
 /// read. Slots are stable (unique_ptr), so returned references survive later
@@ -103,11 +98,7 @@ class TraceStore {
   TraceStore(const Engine& engine, std::uint64_t seed, Seconds horizon);
 
   /// Traces for a correlated failure regime (src/reliability/regimes.h):
-  /// repetition r materializes via `regime.sample_gaps(Rng(seed).fork(r))`,
-  /// the exact draw pass a regime sampler performs live, so replay stays
-  /// bit-identical for non-renewal processes too. This is the ONLY safe way
-  /// to run a stateful regime through a parallel campaign — the live
-  /// cursor adapter is serial-only (see FailureRegime::sampler).
+  /// the process of `Engine(regime, config)` with t_total == horizon.
   TraceStore(const reliability::FailureRegime& regime, std::uint64_t seed,
              Seconds horizon);
 
@@ -139,9 +130,7 @@ class TraceStore {
   /// Counts one freshly materialized trace (call with mu_ held).
   void note_materialized(const FailureTrace& trace) const;
 
-  GapSampler sampler_;
-  std::shared_ptr<const reliability::Distribution> dist_;
-  std::shared_ptr<const reliability::FailureRegime> regime_;
+  FailureProcess process_;
   std::uint64_t seed_;
   Seconds horizon_;
   mutable std::mutex mu_;

@@ -24,9 +24,10 @@ constexpr std::uint64_t kSeed = 20180888;
 constexpr std::size_t kReps = 12;
 constexpr double kMtbfHours = 5.0;
 
-sim::Engine make_engine() {
+sim::Engine make_engine(bool flat_kernel = true) {
   sim::EngineConfig cfg;
   cfg.t_total = hours(200.0);
+  cfg.flat_kernel = flat_kernel;
   return sim::Engine(reliability::Weibull::from_mtbf(0.6, hours(kMtbfHours)),
                      cfg);
 }
@@ -120,6 +121,14 @@ TEST_P(MetricsCampaignTest, ArmedRunIsBitIdentical) {
       engine.run_many(c.jobs, *c.scheduler, kReps, kSeed, armed);
   expect_identical(want, got);
   EXPECT_EQ(registry.counter("shiraz_sim_reps_total").value(), kReps);
+  // Without a store every repetition samples and replays its own trace, so
+  // these kernel-eligible policies take the kernel on the live path too...
+  EXPECT_EQ(registry.counter("shiraz_sim_kernel_replays_total").value(), kReps);
+  EXPECT_EQ(registry.counter("shiraz_sim_event_loop_runs_total").value(), 0u);
+  // ...and still match the event loop bit for bit.
+  const sim::Engine loop = make_engine(/*flat_kernel=*/false);
+  expect_identical(want,
+                   loop.run_many(c.jobs, *c.scheduler, kReps, kSeed, unarmed));
 
   // Replay path (flat kernel eligible): still bit-identical, still counted.
   const sim::TraceStore traces(engine, kSeed);

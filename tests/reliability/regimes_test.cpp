@@ -18,6 +18,8 @@
 #include "reliability/fitting.h"
 #include "reliability/regimes.h"
 #include "reliability/weibull.h"
+#include "sim/engine.h"
+#include "sim/trace.h"
 
 namespace shiraz::reliability {
 namespace {
@@ -144,15 +146,16 @@ TEST_P(RegimeProperty, SamplerAdapterReproducesSampleGaps) {
   Rng rb(kSeed);
   regime->sample_gaps(rb, kHorizon, batch);
 
-  const auto sampler = regime->sampler(kHorizon);
+  // Engines adapt a regime into their per-repetition failure process; a
+  // live run's trace must be exactly the regime's own batch draw.
+  sim::EngineConfig cfg;
+  cfg.t_total = kHorizon;
+  const sim::Engine engine(*regime, cfg);
   Rng rl(kSeed);
-  Seconds t = 0.0;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    const Seconds gap = sampler(rl, t);
-    EXPECT_EQ(gap, batch[i]) << "i=" << i;
-    t += gap;
-  }
-  EXPECT_GE(t, kHorizon);
+  const sim::FailureTrace trace =
+      sim::FailureTrace::sample(engine.failure_process(), rl, kHorizon);
+  EXPECT_EQ(trace.gaps(), batch);
+  EXPECT_EQ(trace.horizon(), kHorizon);
 }
 
 TEST_P(RegimeProperty, EmpiricalMeanMatchesMeanGap) {
@@ -214,10 +217,20 @@ TEST(DriftingWeibullRegime, GapAtIsAPureFunction) {
   const Seconds g1 = drift->gap_at(a, hours(100.0));
   const Seconds g2 = drift->gap_at(b, hours(100.0));
   EXPECT_EQ(g1, g2);
-  // And its sampler is stateless: no cursor, so mid-stream calls just work.
-  const auto sampler = regime->sampler(kHorizon);
-  Rng c(kSeed);
-  EXPECT_EQ(sampler(c, hours(100.0)), g1);
+
+  // And gap_at fed the running failure time (the sim::GapSampler contract)
+  // reproduces the batch draw bit for bit.
+  std::vector<Seconds> batch;
+  Rng rb(kSeed);
+  regime->sample_gaps(rb, kHorizon, batch);
+  Rng rd(kSeed);
+  Seconds t = 0.0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    const Seconds gap = drift->gap_at(rd, t);
+    EXPECT_EQ(gap, batch[i]) << "i=" << i;
+    t += gap;
+  }
+  EXPECT_GE(t, kHorizon);
 }
 
 TEST(DriftingWeibullRegime, ParametersDriftLinearlyThenHold) {
@@ -399,12 +412,20 @@ TEST(FailureRegimes, ConstructorsRejectBadParameters) {
 }
 
 TEST(FailureRegimes, CursorSamplerThrowsWhenDrawnPastTheHorizon) {
+  // A live run walks the trace sampled from the regime; the gap that crosses
+  // the horizon is the last one, and drawing past it is a contract error.
   const FailureRegimePtr regime = make_markov();
-  const auto sampler = regime->sampler(hours(100.0));
+  sim::EngineConfig cfg;
+  cfg.t_total = hours(100.0);
+  const sim::Engine engine(*regime, cfg);
   Rng rng(kSeed);
+  const sim::FailureTrace trace =
+      sim::FailureTrace::sample(engine.failure_process(), rng, hours(100.0));
+  std::size_t i = 0;
   Seconds t = 0.0;
-  while (t < hours(100.0)) t += sampler(rng, t);
-  EXPECT_THROW(sampler(rng, t), InvalidArgument);
+  while (t < hours(100.0)) t += trace.gap(i++);
+  EXPECT_EQ(i, trace.size());
+  EXPECT_THROW(trace.gap(i), InvalidArgument);
 }
 
 // --- statistics helpers ----------------------------------------------------

@@ -4,10 +4,14 @@
 #include "serve/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
+#include <sys/un.h>
 #include <unistd.h>
 
 #include <atomic>
+#include <cerrno>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
 #include <string>
 #include <thread>
@@ -89,6 +93,62 @@ TEST(ServeServer, ConcurrentClientsEachGetTheirOwnOrderedResponses) {
     }
   }
   EXPECT_EQ(server.service().counters().solve_k, kClients * kRequests);
+  server.request_stop();
+  server.wait();
+}
+
+TEST(ServeServer, OverlongRequestLineIsRejectedAndTheConnectionClosed) {
+  ServerConfig cfg;
+  cfg.socket_path = temp_socket("overlong");
+  cfg.threads = 1;  // the worker must come back for the next client
+  Server server(cfg);
+  server.serve_async();
+  ASSERT_TRUE(wait_for_server(cfg.socket_path));
+
+  // A raw client that never sends a newline.
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  ASSERT_GE(fd, 0);
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::memcpy(addr.sun_path, cfg.socket_path.c_str(), cfg.socket_path.size() + 1);
+  ASSERT_EQ(::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)),
+            0);
+  timeval timeout{10, 0};  // a regression must fail the test, not hang it
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout)),
+            0);
+  const std::string junk(Server::kMaxRequestLine + 1, 'x');
+  std::size_t sent = 0;
+  while (sent < junk.size()) {
+    const ssize_t n =
+        ::send(fd, junk.data() + sent, junk.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) break;  // the server may hang up before taking every byte
+    sent += static_cast<std::size_t>(n);
+  }
+
+  // Exactly one error line comes back, then end-of-stream.
+  std::string reply;
+  char chunk[256];
+  for (;;) {
+    const ssize_t n = ::recv(fd, chunk, sizeof(chunk), 0);
+    if (n < 0) {
+      // A reset after the reply also ends the stream; a timeout does not.
+      ASSERT_EQ(errno, ECONNRESET) << "no end-of-stream within the timeout";
+      break;
+    }
+    if (n == 0) break;
+    reply.append(chunk, static_cast<std::size_t>(n));
+  }
+  ::close(fd);
+  ASSERT_FALSE(reply.empty());
+  EXPECT_EQ(reply.find('\n'), reply.size() - 1) << reply;
+  const JsonValue doc = parse_json(reply.substr(0, reply.size() - 1));
+  EXPECT_FALSE(doc.at("ok").boolean);
+  EXPECT_NE(doc.at("error").string.find("request line exceeds"),
+            std::string::npos);
+
+  // The single worker is free again for well-behaved clients.
+  Client client(cfg.socket_path);
+  EXPECT_NE(client.request(kSolve).find("\"ok\":true"), std::string::npos);
   server.request_stop();
   server.wait();
 }

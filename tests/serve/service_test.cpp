@@ -140,6 +140,18 @@ TEST(ServeService, ErrorsBecomeResponsesAndCount) {
   EXPECT_EQ(c.solve_k, 1u);
 }
 
+TEST(ServeService, ErrorTextCarriesNoBuildDirectory) {
+  // A malformed request (required field missing) surfaces a SHIRAZ_REQUIRE
+  // message; its source location must be a bare file name so response bytes
+  // do not depend on where the binary was built.
+  Service service;
+  const JsonValue doc = parse_json(service.handle(R"({"op":"oci"})"));
+  ASSERT_FALSE(doc.at("ok").boolean);
+  const std::string& error = doc.at("error").string;
+  EXPECT_NE(error.find(".cpp:"), std::string::npos) << error;
+  EXPECT_EQ(error.find('/'), std::string::npos) << error;
+}
+
 TEST(ServeService, StatsReportsSharedCacheCounters) {
   auto cache = std::make_shared<const core::SolverCache>();
   ServiceConfig cfg;

@@ -186,8 +186,11 @@ TEST(FlatKernel, FlatReplayMatchesEngineReplay) {
     const PolicyCase c = make_policy(kind, hours(5.0));
     for (std::size_t r = 0; r < kReps; ++r) {
       const SimResult via_loop = loop.replay(c.jobs, *c.scheduler, traces.trace(r));
-      const SimResult via_kernel =
-          flat_replay(loop.config(), c.jobs, *c.scheduler, traces.trace(r));
+      SimResult via_kernel;
+      const KernelEligibility e = try_flat_replay(
+          loop.config(), c.jobs, *c.scheduler, nullptr, nullptr, traces.trace(r),
+          &via_kernel);
+      ASSERT_TRUE(e.eligible) << e.reason;
       expect_identical(via_kernel, via_loop);
     }
   }
@@ -254,18 +257,29 @@ TEST(FlatKernel, EligibilityRules) {
   const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
   EngineConfig cfg;
   cfg.t_total = hours(200.0);
+  const TraceStore traces(make_engine(false), kSeed);
+  const FailureTrace& trace = traces.trace(0);
 
+  // An ineligible call reports why and leaves the output slot untouched.
   auto reason = [&](const EngineConfig& config, const std::vector<SimJob>& jobs,
                     const Scheduler& sched, const AlarmSource* alarms = nullptr,
                     const obs::EventSink* sink = nullptr) {
+    SimResult out;
+    out.failures = 12345;
     const KernelEligibility e =
-        flat_kernel_eligibility(config, jobs, sched, alarms, sink);
+        try_flat_replay(config, jobs, sched, alarms, sink, trace, &out);
     EXPECT_FALSE(e.eligible);
+    EXPECT_EQ(out.failures, 12345u);
+    EXPECT_TRUE(out.apps.empty());
     return std::string(e.reason);
   };
 
-  EXPECT_TRUE(flat_kernel_eligibility(cfg, c.jobs, *c.scheduler, nullptr, nullptr)
-                  .eligible);
+  SimResult out;
+  const KernelEligibility ok =
+      try_flat_replay(cfg, c.jobs, *c.scheduler, nullptr, nullptr, trace, &out);
+  EXPECT_TRUE(ok.eligible);
+  EXPECT_STREQ(ok.reason, "");
+  EXPECT_EQ(out.apps.size(), c.jobs.size());
 
   EngineConfig restart = cfg;
   restart.restart_cost = 30.0;
@@ -307,14 +321,21 @@ TEST(FlatKernel, EligibilityRules) {
             "MultiSwitchScheduler app count must be one more than its ks");
 }
 
-TEST(FlatKernel, FlatReplayThrowsOnIneligibleConfiguration) {
-  const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
+TEST(FlatKernel, LiveRunsAndStorelessCampaignsMatchTheEventLoop) {
+  // Live runs sample their trace first and then replay it, so they take the
+  // kernel too — serial run() and store-less parallel campaigns alike.
+  const Engine flat = make_engine(true);
   const Engine loop = make_engine(false);
-  const TraceStore traces(loop, kSeed);
-  EngineConfig cfg = loop.config();
-  cfg.switch_cost = 10.0;
-  EXPECT_THROW(flat_replay(cfg, c.jobs, *c.scheduler, traces.trace(0)),
-               InvalidArgument);
+  for (const PolicyKind kind :
+       {PolicyKind::kBaseline, PolicyKind::kShiraz, PolicyKind::kShirazPlus}) {
+    const PolicyCase c = make_policy(kind, hours(5.0));
+    Rng rf(kSeed);
+    Rng rl(kSeed);
+    expect_identical(flat.run(c.jobs, *c.scheduler, rf),
+                     loop.run(c.jobs, *c.scheduler, rl));
+    expect_identical(flat.run_many(c.jobs, *c.scheduler, kReps, kSeed, 4),
+                     loop.run_many(c.jobs, *c.scheduler, kReps, kSeed, 1));
+  }
 }
 
 TEST(FlatKernel, IneligibleConfigurationsFallBackToTheEventLoop) {

@@ -1,9 +1,10 @@
 // Correlated failure regimes through the replay machinery: a TraceStore
-// built from a reliability::FailureRegime must replay bit-identically to the
-// regime's own live serial sampler, campaigns over regime traces must be
-// bit-identical for every worker count, and every repetition's event stream
-// must satisfy the invariant auditor — the same guarantees the renewal
-// distributions enjoy, extended to non-renewal processes (DESIGN.md §8).
+// built from a reliability::FailureRegime must replay bit-identically to
+// live runs of Engine(regime, config), campaigns over regime traces — stored
+// or sampled per repetition — must be bit-identical for every worker count,
+// and every repetition's event stream must satisfy the invariant auditor —
+// the same guarantees the renewal distributions enjoy, extended to
+// non-renewal processes (DESIGN.md §8).
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -117,9 +118,9 @@ TEST_P(RegimeReplay, StoreReplayMatchesLiveSerialSampler) {
   const FailureRegimePtr regime = GetParam().make();
   EngineConfig cfg;
   cfg.t_total = kHorizon;
-  // The live engine draws through the regime's serial cursor adapter; the
-  // replay engine walks the store. Both must agree bit for bit.
-  const Engine engine(regime->sampler(kHorizon), cfg);
+  // The live run samples its own trace from the regime; the replay walks
+  // the store. Both must agree bit for bit.
+  const Engine engine(*regime, cfg);
   const TraceStore traces(*regime, kSeed, kHorizon);
   const std::vector<SimJob> jobs = make_jobs();
   const ShirazPairScheduler shiraz(8);
@@ -136,7 +137,7 @@ TEST_P(RegimeReplay, CampaignIsBitIdenticalForEveryWorkerCount) {
   const FailureRegimePtr regime = GetParam().make();
   EngineConfig cfg;
   cfg.t_total = kHorizon;
-  const Engine engine(regime->sampler(kHorizon), cfg);
+  const Engine engine(*regime, cfg);
   const TraceStore traces(*regime, kSeed, kHorizon);
   const std::vector<SimJob> jobs = make_jobs();
   const AlternateAtFailure baseline;
@@ -155,6 +156,21 @@ TEST_P(RegimeReplay, CampaignIsBitIdenticalForEveryWorkerCount) {
         << "workers=" << workers;
     EXPECT_EQ(got.total_lost.ci95, ref.total_lost.ci95) << "workers=" << workers;
   }
+
+  // Without a store every repetition samples its own trace from the regime:
+  // no shared cursor, so any worker count is safe and matches the replay.
+  for (const std::size_t workers :
+       {std::size_t{1}, std::size_t{2}, std::size_t{4}, std::size_t{8}}) {
+    CampaignOptions live;
+    live.workers = workers;
+    const CampaignSummary got =
+        engine.run_campaign(jobs, baseline, kReps, kSeed, live);
+    expect_identical(got.mean, ref.mean);
+    EXPECT_EQ(got.total_useful.stddev, ref.total_useful.stddev)
+        << "live workers=" << workers;
+    EXPECT_EQ(got.total_lost.ci95, ref.total_lost.ci95)
+        << "live workers=" << workers;
+  }
 }
 
 TEST_P(RegimeReplay, EveryRepetitionPassesTheInvariantAuditor) {
@@ -163,7 +179,7 @@ TEST_P(RegimeReplay, EveryRepetitionPassesTheInvariantAuditor) {
   EngineConfig cfg;
   cfg.t_total = kHorizon;
   cfg.sink = &recorder;
-  const Engine engine(regime->sampler(kHorizon), cfg);
+  const Engine engine(*regime, cfg);
   const TraceStore traces(*regime, kSeed, kHorizon);
   const std::vector<SimJob> jobs = make_jobs();
   const ShirazPairScheduler shiraz(8);
@@ -207,7 +223,7 @@ TEST(RegimeReplayEdge, RegimeStoreEnforcesSeedAndHorizonContracts) {
 
   EngineConfig cfg;
   cfg.t_total = kHorizon;
-  const Engine engine(regime->sampler(kHorizon), cfg);
+  const Engine engine(*regime, cfg);
   const TraceStore traces(*regime, kSeed, kHorizon);
   const std::vector<SimJob> jobs = make_jobs();
   const AlternateAtFailure baseline;
@@ -219,7 +235,7 @@ TEST(RegimeReplayEdge, RegimeStoreEnforcesSeedAndHorizonContracts) {
   // A store whose horizon stops short of the engine's is rejected.
   EngineConfig long_cfg;
   long_cfg.t_total = kHorizon * 2.0;
-  const Engine long_engine(regime->sampler(kHorizon * 2.0), long_cfg);
+  const Engine long_engine(*regime, long_cfg);
   EXPECT_THROW(long_engine.run_many(jobs, baseline, kReps, kSeed, opts),
                InvalidArgument);
 }
