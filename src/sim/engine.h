@@ -59,12 +59,14 @@ struct EngineConfig {
   /// compare per would-be event. Single runs stream events as they happen;
   /// run_campaign buffers per repetition and merges in repetition order.
   obs::EventSink* sink = nullptr;
-  /// Dispatch runs of closed-form-eligible configurations (free
+  /// Dispatch Engine runs of closed-form-eligible configurations (free
   /// restarts/switches, periodic schedules, no alarms, no sink, a flat
   /// phase-plan scheduler — see sim/kernel.h) to the flat replay kernel.
   /// The kernel is bit-identical to the event loop (tests/sim/kernel_test),
-  /// so this is purely a speed knob; false forces the event loop everywhere
-  /// (benchmarking, differential testing).
+  /// so this is purely a speed knob; false forces every Engine run through
+  /// the event loop (benchmarking, differential testing). It does not reach
+  /// replay_pair_sweep (sim/optimizer.h), which always runs its count-table
+  /// sweep.
   bool flat_kernel = true;
   /// When non-null, every run counts into this registry (obs/metrics.h):
   /// repetitions evaluated, kernel-vs-event-loop dispatch, gaps consumed.

@@ -1,13 +1,11 @@
 #include "sim/kernel.h"
 
-#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <typeinfo>
 #include <vector>
 
 #include "common/error.h"
-#include "sim/optimizer.h"
 #include "sim/trace.h"
 
 namespace shiraz::sim {
@@ -226,88 +224,6 @@ KernelEligibility try_flat_replay(const EngineConfig& config,
   }
   *out = run_flat(config, jobs, scheduler, flat, trace);
   return KernelEligibility{true, ""};
-}
-
-void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
-                         Seconds delta_hw, int k_lo, Seconds horizon,
-                         const FailureTrace& trace,
-                         std::vector<SweepUseful>& acc) {
-  const std::size_t n = acc.size();
-  const int k_hi = k_lo + static_cast<int>(n) - 1;
-  const std::size_t k_lo_sz = static_cast<std::size_t>(k_lo);
-  const std::size_t k_hi_sz = static_cast<std::size_t>(k_hi);
-  // Completed light-weight segment end times of the current gap, shared by
-  // every candidate that has not switched yet (the intervals are all tau_lw).
-  // A flat scratch buffer indexed by a count — the prefix loop is the hottest
-  // code in the sweep and a push_back capacity check per segment shows up.
-  std::vector<Seconds> seg_end_buf(k_hi_sz);
-  Seconds* const seg_end_at = seg_end_buf.data();
-
-  // Candidate k's engine accumulator performs only `useful += tau` additions
-  // of one constant per app, so its final value is a pure function of the
-  // ADDITION COUNT: n sequential adds of tau starting from 0.0, exactly the
-  // sequence the event loop interleaves across gaps. The hot loop therefore
-  // only counts completed segments per candidate (integer adds, no FP
-  // dependency chains), and one shared iterated-sum pass at the end converts
-  // counts back to the engine's doubles.
-  std::vector<std::size_t> lw_segments(n, 0);
-  std::vector<std::size_t> hw_segments(n, 0);
-
-  const Seconds* fail_times = trace.fail_times().data();
-  std::size_t cursor = 0;
-  Seconds gap_start = 0.0;
-  Seconds next_fail = fail_times[cursor++];
-  for (;;) {
-    // Light-weight prefix: the engine's comparisons verbatim, with the
-    // periodic interval hoisted out of the loop.
-    std::size_t completed = 0;
-    Seconds now = gap_start;
-    while (completed < k_hi_sz) {
-      const Seconds seg_end = now + tau_lw + delta_lw;
-      if (horizon <= seg_end && horizon <= next_fail) break;
-      if (next_fail < seg_end) break;
-      seg_end_at[completed++] = seg_end;
-      now = seg_end;
-    }
-
-    // Candidates split into two branch-free ranges: k <= completed switched
-    // (credit k, walk the heavy-weight tail); the rest were still
-    // light-weight when the gap ended (credit every completed segment).
-    const std::size_t switched =
-        completed < k_lo_sz ? 0 : std::min(n, completed - k_lo_sz + 1);
-    for (std::size_t i = 0; i < switched; ++i) {
-      const std::size_t k = k_lo_sz + i;
-      lw_segments[i] += k;
-      Seconds t = seg_end_at[k - 1];
-      for (;;) {
-        const Seconds seg_end = t + tau_hw + delta_hw;
-        if (horizon <= seg_end && horizon <= next_fail) break;
-        if (next_fail < seg_end) break;
-        ++hw_segments[i];
-        t = seg_end;
-      }
-    }
-    for (std::size_t i = switched; i < n; ++i) lw_segments[i] += completed;
-
-    if (next_fail >= horizon) break;
-    gap_start = next_fail;
-    next_fail = fail_times[cursor++];
-  }
-
-  // Replay the engine's accumulator additions once, shared across the range:
-  // running_lw after m iterations equals m sequential `+= tau_lw` from 0.0 —
-  // the exact double every candidate with m credited segments ends at. A
-  // multiplication would round differently and break bit-identity.
-  const std::size_t max_lw = *std::max_element(lw_segments.begin(), lw_segments.end());
-  const std::size_t max_hw = *std::max_element(hw_segments.begin(), hw_segments.end());
-  std::vector<Seconds> lw_sum(max_lw + 1, 0.0);
-  std::vector<Seconds> hw_sum(max_hw + 1, 0.0);
-  for (std::size_t m = 1; m <= max_lw; ++m) lw_sum[m] = lw_sum[m - 1] + tau_lw;
-  for (std::size_t m = 1; m <= max_hw; ++m) hw_sum[m] = hw_sum[m - 1] + tau_hw;
-  for (std::size_t i = 0; i < n; ++i) {
-    acc[i].lw += lw_sum[lw_segments[i]];
-    acc[i].hw += hw_sum[hw_segments[i]];
-  }
 }
 
 }  // namespace shiraz::sim

@@ -10,7 +10,7 @@
 // its accumulator additions per segment. Every Engine run replays a trace
 // (live runs sample theirs first), so every run is a candidate.
 //
-// Bit-identity contract (the same one sim/optimizer.cpp's sweep documents):
+// Bit-identity contract (the same one sim/optimizer.cpp's pair sweep keeps):
 // the kernel performs the engine's useful/io/lost/truncated additions on the
 // same doubles in the same chronological order, resolves every segment with
 // the engine's exact comparison structure (`write_start = now + tau;
@@ -21,6 +21,10 @@
 // tests/sim/kernel_test.cpp and micro_engine_throughput --check);
 // Engine::run_impl dispatches here automatically when
 // EngineConfig::flat_kernel is set and eligibility holds.
+//
+// This module replays single runs. A whole k range of ShirazPairScheduler
+// candidates is sim/optimizer.h's replay_pair_sweep, which keeps the same
+// contract with a count-table sweep of its own.
 #pragma once
 
 #include <vector>
@@ -28,8 +32,6 @@
 #include "sim/engine.h"
 
 namespace shiraz::sim {
-
-struct SweepUseful;
 
 /// Why a configuration can(not) take the flat kernel. `reason` points at a
 /// static string ("" when eligible) so the check is allocation-free — it runs
@@ -62,17 +64,5 @@ KernelEligibility try_flat_replay(const EngineConfig& config,
                                   const AlarmSource* alarms,
                                   const obs::EventSink* sink,
                                   const FailureTrace& trace, SimResult* out);
-
-/// One repetition of the shared-prefix k sweep on the kernel: the flat
-/// counterpart of sim/optimizer.cpp's sweep_one_rep for periodic schedules,
-/// with the light-weight interval hoisted to `tau_lw` (== the LW schedule's
-/// period) and the heavy-weight to `tau_hw`. Accumulates, per candidate
-/// k in [k_lo, k_lo + acc.size()), the useful-work additions ShirazPair(k)
-/// performs over `trace` — bit-identical to the event loop's (the hoisted
-/// period equals every next_interval return by the period() contract).
-void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
-                         Seconds delta_hw, int k_lo, Seconds horizon,
-                         const FailureTrace& trace,
-                         std::vector<SweepUseful>& acc);
 
 }  // namespace shiraz::sim

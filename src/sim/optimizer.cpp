@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <optional>
+#include <vector>
 
 #include "common/error.h"
 #include "common/thread_pool.h"
-#include "sim/kernel.h"
 #include "sim/trace.h"
 
 namespace shiraz::sim {
@@ -24,75 +25,93 @@ SimSwitchCandidate candidate_from(int k, double lw_useful, double hw_useful,
   return c;
 }
 
-/// One repetition of the shared-prefix k sweep. Mirrors Engine::run for
-/// ShirazPairScheduler under the free-restart/free-switch configuration and
-/// accumulates, per candidate, exactly the useful-work additions the engine
-/// performs in exactly its chronological order — the per-app accumulators see
-/// the same doubles added in the same sequence, so the per-repetition totals
-/// are bit-identical to engine replays of the same trace.
-void sweep_one_rep(const SimJob& lw, const SimJob& hw, int k_lo, int k_hi,
-                   Seconds horizon, const FailureTrace& trace,
-                   std::vector<SweepUseful>& acc) {
+/// One repetition of the shared-prefix k sweep for periodic schedules: the
+/// light-weight interval is hoisted to `tau_lw` (== the LW schedule's
+/// period) and the heavy-weight to `tau_hw`. Accumulates, per candidate
+/// k in [k_lo, k_lo + acc.size()), the useful-work additions ShirazPair(k)
+/// performs over `trace` under free restarts and switches — bit-identical to
+/// the event loop's (the hoisted period equals every next_interval return by
+/// the period() contract, and the segment resolution below is the engine's
+/// comparison structure verbatim).
+void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
+                         Seconds delta_hw, int k_lo, Seconds horizon,
+                         const FailureTrace& trace,
+                         std::vector<SweepUseful>& acc) {
   const std::size_t n = acc.size();
-  // Periodic schedules answer next_interval identically for every elapsed
-  // time (the period() contract: bit-equal to each virtual call), so the
-  // dispatch hoists out of the per-segment loops. Aperiodic schedules keep
-  // the per-segment call.
-  const std::optional<Seconds> lw_period = lw.schedule->period();
-  const std::optional<Seconds> hw_period = hw.schedule->period();
-  // Completed light-weight segments of the current gap: interval lengths and
-  // segment-end times, shared by every candidate that has not switched yet.
-  std::vector<Seconds> seg_tau;
-  std::vector<Seconds> seg_end_at;
-  seg_tau.reserve(static_cast<std::size_t>(k_hi));
-  seg_end_at.reserve(static_cast<std::size_t>(k_hi));
+  const int k_hi = k_lo + static_cast<int>(n) - 1;
+  const std::size_t k_lo_sz = static_cast<std::size_t>(k_lo);
+  const std::size_t k_hi_sz = static_cast<std::size_t>(k_hi);
+  // Completed light-weight segment end times of the current gap, shared by
+  // every candidate that has not switched yet (the intervals are all tau_lw).
+  // A flat scratch buffer indexed by a count — the prefix loop is the hottest
+  // code in the sweep and a push_back capacity check per segment shows up.
+  std::vector<Seconds> seg_end_buf(k_hi_sz);
+  Seconds* const seg_end_at = seg_end_buf.data();
 
+  // Candidate k's engine accumulator performs only `useful += tau` additions
+  // of one constant per app, so its final value is a pure function of the
+  // ADDITION COUNT: n sequential adds of tau starting from 0.0, exactly the
+  // sequence the event loop interleaves across gaps. The hot loop therefore
+  // only counts completed segments per candidate (integer adds, no FP
+  // dependency chains), and one shared iterated-sum pass at the end converts
+  // counts back to the engine's doubles.
+  std::vector<std::size_t> lw_segments(n, 0);
+  std::vector<std::size_t> hw_segments(n, 0);
+
+  const Seconds* fail_times = trace.fail_times().data();
   std::size_t cursor = 0;
   Seconds gap_start = 0.0;
-  Seconds next_fail = trace.fail_time(cursor++);
+  Seconds next_fail = fail_times[cursor++];
   for (;;) {
-    // Light-weight prefix: segments complete until the gap ends (failure or
-    // horizon) or every candidate has switched (k_hi checkpoints). The
-    // three-way resolution matches the engine's comparisons verbatim.
-    seg_tau.clear();
-    seg_end_at.clear();
+    // Light-weight prefix: the engine's comparisons verbatim, with the
+    // periodic interval hoisted out of the loop.
+    std::size_t completed = 0;
     Seconds now = gap_start;
-    while (static_cast<int>(seg_tau.size()) < k_hi) {
-      const Seconds tau =
-          lw_period ? *lw_period : lw.schedule->next_interval(now - gap_start);
-      const Seconds seg_end = now + tau + lw.delta;
-      if (horizon <= std::min(seg_end, next_fail)) break;
+    while (completed < k_hi_sz) {
+      const Seconds seg_end = now + tau_lw + delta_lw;
+      if (horizon <= seg_end && horizon <= next_fail) break;
       if (next_fail < seg_end) break;
-      seg_tau.push_back(tau);
-      seg_end_at.push_back(seg_end);
+      seg_end_at[completed++] = seg_end;
       now = seg_end;
     }
-    const std::size_t completed = seg_tau.size();
 
-    // Per candidate: useful light-weight work up to its switch point, then
-    // its heavy-weight tail until the gap ends. The tail re-runs per
-    // candidate, but it is short (the k-th checkpoint sits deep in the gap
-    // by design) while the prefix — the bulk of the event work — is shared.
-    for (std::size_t i = 0; i < n; ++i) {
-      const std::size_t k = static_cast<std::size_t>(k_lo) + i;
-      const std::size_t credited = std::min(k, completed);
-      for (std::size_t j = 0; j < credited; ++j) acc[i].lw += seg_tau[j];
-      if (k > completed) continue;  // still light-weight when the gap ended
+    // Candidates split into two branch-free ranges: k <= completed switched
+    // (credit k, walk the heavy-weight tail); the rest were still
+    // light-weight when the gap ended (credit every completed segment).
+    const std::size_t switched =
+        completed < k_lo_sz ? 0 : std::min(n, completed - k_lo_sz + 1);
+    for (std::size_t i = 0; i < switched; ++i) {
+      const std::size_t k = k_lo_sz + i;
+      lw_segments[i] += k;
       Seconds t = seg_end_at[k - 1];
       for (;;) {
-        const Seconds tau =
-            hw_period ? *hw_period : hw.schedule->next_interval(t - gap_start);
-        const Seconds seg_end = t + tau + hw.delta;
-        if (horizon <= std::min(seg_end, next_fail)) break;
+        const Seconds seg_end = t + tau_hw + delta_hw;
+        if (horizon <= seg_end && horizon <= next_fail) break;
         if (next_fail < seg_end) break;
-        acc[i].hw += tau;
+        ++hw_segments[i];
         t = seg_end;
       }
     }
+    for (std::size_t i = switched; i < n; ++i) lw_segments[i] += completed;
 
     if (next_fail >= horizon) break;
     gap_start = next_fail;
-    next_fail = trace.fail_time(cursor++);
+    next_fail = fail_times[cursor++];
+  }
+
+  // Replay the engine's accumulator additions once, shared across the range:
+  // running_lw after m iterations equals m sequential `+= tau_lw` from 0.0 —
+  // the exact double every candidate with m credited segments ends at. A
+  // multiplication would round differently and break bit-identity.
+  const std::size_t max_lw = *std::max_element(lw_segments.begin(), lw_segments.end());
+  const std::size_t max_hw = *std::max_element(hw_segments.begin(), hw_segments.end());
+  std::vector<Seconds> lw_sum(max_lw + 1, 0.0);
+  std::vector<Seconds> hw_sum(max_hw + 1, 0.0);
+  for (std::size_t m = 1; m <= max_lw; ++m) lw_sum[m] = lw_sum[m - 1] + tau_lw;
+  for (std::size_t m = 1; m <= max_hw; ++m) hw_sum[m] = hw_sum[m - 1] + tau_hw;
+  for (std::size_t i = 0; i < n; ++i) {
+    acc[i].lw += lw_sum[lw_segments[i]];
+    acc[i].hw += hw_sum[hw_segments[i]];
   }
 }
 
@@ -164,10 +183,13 @@ SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& 
     }
   };
 
-  if (engine.config().restart_cost == 0.0 && engine.config().switch_cost == 0.0) {
-    // Free restarts and switches (the paper's model setting): one replayed
-    // pass evaluates the whole range, sharing each gap's light-weight prefix
-    // across candidates — bit-identical to the per-candidate campaigns.
+  // The baseline campaign above has already validated both jobs' schedules.
+  if (engine.config().restart_cost == 0.0 && engine.config().switch_cost == 0.0 &&
+      lw.schedule->period() && hw.schedule->period()) {
+    // Free restarts and switches with periodic schedules (the paper's model
+    // setting): one replayed pass evaluates the whole range, sharing each
+    // gap's light-weight prefix across candidates — bit-identical to the
+    // per-candidate campaigns, which every other pair runs.
     const std::vector<SweepUseful> sweep = replay_pair_sweep(
         engine, lw, hw, k_lo, k_hi, reps, traces, workers, opts.pool);
     for (int k = k_lo; k <= k_hi; ++k) {
@@ -204,6 +226,10 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
                  "job checkpoint cost must be positive");
   SHIRAZ_REQUIRE(lw.schedule != nullptr && hw.schedule != nullptr,
                  "job needs an interval schedule");
+  const std::optional<Seconds> lw_period = lw.schedule->period();
+  const std::optional<Seconds> hw_period = hw.schedule->period();
+  SHIRAZ_REQUIRE(lw_period && hw_period,
+                 "replay_pair_sweep needs periodic schedules");
   SHIRAZ_REQUIRE(traces.horizon() >= engine.config().t_total,
                  "trace store horizon does not cover the engine horizon");
   traces.ensure(reps);
@@ -211,21 +237,9 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
   const Seconds horizon = engine.config().t_total;
   const std::size_t n = static_cast<std::size_t>(k_hi - k_lo + 1);
   std::vector<std::vector<SweepUseful>> per_rep(reps, std::vector<SweepUseful>(n));
-  // Periodic pairs take the flat kernel's sweep (hoisted intervals, cached
-  // failure prefix sums — sim/kernel.h) unless the engine opted out of the
-  // kernel; both paths perform identical accumulator additions, so the
-  // output is the same bits either way.
-  const std::optional<Seconds> lw_period = lw.schedule->period();
-  const std::optional<Seconds> hw_period = hw.schedule->period();
-  const bool flat =
-      engine.config().flat_kernel && lw_period.has_value() && hw_period.has_value();
   auto one_rep = [&](std::size_t r) {
-    if (flat) {
-      flat_pair_sweep_rep(*lw_period, lw.delta, *hw_period, hw.delta, k_lo,
-                          horizon, traces.trace(r), per_rep[r]);
-    } else {
-      sweep_one_rep(lw, hw, k_lo, k_hi, horizon, traces.trace(r), per_rep[r]);
-    }
+    flat_pair_sweep_rep(*lw_period, lw.delta, *hw_period, hw.delta, k_lo,
+                        horizon, traces.trace(r), per_rep[r]);
   };
   if ((workers <= 1 && pool == nullptr) || reps == 1) {
     for (std::size_t r = 0; r < reps; ++r) one_rep(r);

@@ -57,9 +57,11 @@ SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
 /// `workers` threads; the sweep and the chosen k are worker-count-invariant.
 /// Internally samples each repetition's failure stream once (TraceStore) and
 /// spawns one thread pool, replaying both across the baseline and every
-/// candidate; when the engine models free restarts and switches the whole
-/// range is evaluated in one replayed pass (replay_pair_sweep). All of this
-/// is bit-identical to the historical per-candidate campaigns.
+/// candidate; when the engine models free restarts and switches and both
+/// schedules are periodic, the whole range is evaluated in one replayed pass
+/// (replay_pair_sweep), and every other pair runs per-candidate campaigns
+/// (simulate_switch_point). Both routes are bit-identical to the historical
+/// per-candidate campaigns.
 SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& lw,
                                             const SimJob& hw, int k_lo, int k_hi,
                                             std::size_t reps, std::uint64_t seed,
@@ -80,7 +82,10 @@ struct SweepUseful {
 /// prefix is simulated once and shared across the range; only the (short)
 /// heavy-weight tails are per-candidate. Requires the free-restart,
 /// free-switch engine configuration the paper's model assumes
-/// (restart_cost == 0 and switch_cost == 0) and k_lo >= 1.
+/// (restart_cost == 0 and switch_cost == 0), periodic schedules for both
+/// jobs (IntervalSchedule::period() non-null; the paper keeps checkpoints
+/// equidistant, Shiraz+'s stretch included) and k_lo >= 1. Always runs this
+/// count-table sweep, whatever EngineConfig::flat_kernel says.
 std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& lw,
                                            const SimJob& hw, int k_lo, int k_hi,
                                            std::size_t reps, const TraceStore& traces,

@@ -233,19 +233,28 @@ TEST(FlatKernel, MultiSwitchAndPairRotationFlatten) {
 }
 
 TEST(FlatKernel, SweepMatchesEventLoopSweep) {
-  const Engine flat = make_engine(true);
+  // replay_pair_sweep's count-table sweep against its oracle, the event loop:
+  // each candidate k must equal a ShirazPairScheduler(k) campaign on a
+  // flat_kernel=false engine over the same store — for a plain pair and a
+  // Shiraz+ pair whose heavy-weight schedule is stretched by 2.
   const Engine loop = make_engine(false);
   const TraceStore traces(loop, kSeed);
+  CampaignOptions opts;
+  opts.traces = &traces;
   const SimJob lw = SimJob::at_oci("lw", kDeltaLw, hours(5.0));
-  const SimJob hw = SimJob::at_oci("hw", kDeltaHw, hours(5.0));
-  const std::vector<SweepUseful> a =
-      replay_pair_sweep(flat, lw, hw, 20, 32, kReps, traces, 1, nullptr);
-  const std::vector<SweepUseful> b =
-      replay_pair_sweep(loop, lw, hw, 20, 32, kReps, traces, 1, nullptr);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].lw, b[i].lw) << "k = " << 20 + i;
-    EXPECT_EQ(a[i].hw, b[i].hw) << "k = " << 20 + i;
+  for (const unsigned stretch : {1u, 2u}) {
+    const SimJob hw = SimJob::at_oci("hw", kDeltaHw, hours(5.0), stretch);
+    const std::vector<SimJob> jobs{lw, hw};
+    const std::vector<SweepUseful> sweep =
+        replay_pair_sweep(loop, lw, hw, 20, 32, kReps, traces, 1, nullptr);
+    ASSERT_EQ(sweep.size(), 13u);
+    for (int k = 20; k <= 32; ++k) {
+      const ShirazPairScheduler shiraz(k);
+      const SimResult ref = loop.run_many(jobs, shiraz, kReps, kSeed, opts);
+      const SweepUseful& u = sweep[static_cast<std::size_t>(k - 20)];
+      EXPECT_EQ(u.lw, ref.apps[0].useful) << "stretch " << stretch << ", k = " << k;
+      EXPECT_EQ(u.hw, ref.apps[1].useful) << "stretch " << stretch << ", k = " << k;
+    }
   }
 }
 

@@ -346,6 +346,16 @@ TEST(TraceReplay, PairSweepRequiresFreeRestartsAndSwitches) {
   const TraceStore traces(engine, kSeed);
   EXPECT_THROW(replay_pair_sweep(engine, lw, hw, 1, 4, kReps, traces),
                InvalidArgument);
+
+  // The sweep also needs periodic schedules: a lazy (aperiodic) pair is
+  // rejected even on a free-restart, free-switch engine.
+  const Engine free_engine = make_engine();
+  const TraceStore free_traces(free_engine, kSeed);
+  const SimJob lazy_lw = SimJob::lazy("lw", 18.0, mtbf, 0.6);
+  const SimJob lazy_hw = SimJob::lazy("hw", 1800.0, mtbf, 0.6);
+  EXPECT_THROW(
+      replay_pair_sweep(free_engine, lazy_lw, lazy_hw, 1, 4, kReps, free_traces),
+      InvalidArgument);
 }
 
 TEST(TraceReplay, OptimizerFindsSameSolutionWithCostlySwitches) {
