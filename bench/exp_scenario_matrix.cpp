@@ -109,13 +109,13 @@ int main(int argc, char** argv) {
     const sim::TraceStore traces(*regime, run.seed, sc.horizon);
     traces.ensure(run.reps);
 
-    // Regime-shape diagnostics from repetition 0's materialized gaps: how
-    // far from renewal this scenario actually is.
+    // Regime-shape diagnostics from repetition 0's gaps: how far from
+    // renewal this scenario actually is. A trace keeps only failure times,
+    // so the gaps are redrawn from the stream the store used for rep 0.
     {
-      const sim::FailureTrace& t0 = traces.trace(0);
+      Rng rng = Rng(run.seed).fork(0);
       std::vector<Seconds> gaps;
-      gaps.reserve(t0.size());
-      for (std::size_t i = 0; i < t0.size(); ++i) gaps.push_back(t0.gap(i));
+      regime->sample_gaps(rng, sc.horizon, gaps);
       json.metric(sc.id + ".mean_gap_hours", "hours",
                   as_hours(regime->mean_gap()));
       if (gaps.size() >= 3) {

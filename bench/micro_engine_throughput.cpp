@@ -228,7 +228,7 @@ int main(int argc, char** argv) {
   bench::note("Replay samples each failure stream once, not once per "
               "campaign; the flat kernel strips the per-segment virtual "
               "dispatch and event bookkeeping into a batched pass over the "
-              "trace's prefix-sum arrays, and its pair sweep shares each "
+              "trace's failure-time array, and its pair sweep shares each "
               "gap's light-weight prefix across the whole k range.");
 
   // The --check gate: committed floors on mode-vs-mode ratios.

@@ -3,8 +3,8 @@
 // For closed-form-eligible configurations — free restarts and switches,
 // periodic schedules, no alarm source, no event sink, and a scheduler whose
 // per-gap behavior is a fixed phase plan — a campaign over a materialized
-// FailureTrace is fully determined by the trace's gap/prefix-sum arrays.
-// try_flat_replay() walks those arrays directly: no virtual next_interval per
+// FailureTrace is fully determined by the trace's failure-time array.
+// try_flat_replay() walks that array directly: no virtual next_interval per
 // segment, no SchedContext construction, no per-event emit checks, no
 // per-gap checkpoint-count vectors — just the engine's three comparisons and
 // its accumulator additions per segment. Every Engine run replays a trace

@@ -13,18 +13,17 @@ EngineConfig horizon_config(Seconds horizon) {
 }  // namespace
 
 FailureTrace::FailureTrace(std::vector<Seconds> gaps, Seconds horizon)
-    : gaps_(std::move(gaps)), horizon_(horizon) {
+    : fail_times_(std::move(gaps)), horizon_(horizon) {
   SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
-  SHIRAZ_REQUIRE(!gaps_.empty(), "trace needs at least one gap");
-  fail_times_.resize(gaps_.size());
+  SHIRAZ_REQUIRE(!fail_times_.empty(), "trace needs at least one gap");
   Seconds t = 0.0;
-  for (std::size_t i = 0; i < gaps_.size(); ++i) {
-    t += gaps_[i];
-    fail_times_[i] = t;
+  for (Seconds& f : fail_times_) {
+    t += f;
+    f = t;
   }
   // The running sum crosses the horizon at the last gap and not before.
-  if (gaps_.size() >= 2) {
-    SHIRAZ_REQUIRE(fail_times_[gaps_.size() - 2] < horizon_,
+  if (fail_times_.size() >= 2) {
+    SHIRAZ_REQUIRE(fail_times_[fail_times_.size() - 2] < horizon_,
                    "trace has draws past the horizon");
   }
   SHIRAZ_REQUIRE(fail_times_.back() >= horizon_,
@@ -70,8 +69,8 @@ void TraceStore::note_materialized(const FailureTrace& trace) const {
   if (traces_metric_ == nullptr) return;
   traces_metric_->add(1);
   gaps_metric_->add(trace.size());
-  // Each trace holds its gaps plus the prefix-summed failure times.
-  resident_metric_->add(static_cast<double>(2 * sizeof(Seconds) * trace.size()));
+  // Each trace holds one array: its failure times.
+  resident_metric_->add(static_cast<double>(sizeof(Seconds) * trace.size()));
 }
 
 void TraceStore::ensure(std::size_t reps) const {

@@ -4,11 +4,12 @@
 // policy (common random numbers). A FailureTrace materializes one
 // repetition's inter-failure gaps up to the horizon in a single batched pass
 // of the engine's FailureProcess (Distribution::sample_gaps,
-// FailureRegime::sample_gaps, or a GapSampler loop), and the engine reads
-// every failure time from it — a live run samples its own trace first and
-// replays it, so there is one failure clock. A TraceStore caches one trace
-// per repetition, keyed by (seed, rep), so every campaign over the same seed
-// replays plain arrays instead of re-sampling them.
+// FailureRegime::sample_gaps, or a GapSampler loop) and keeps only the
+// absolute failure times they sum to; the engine reads every failure time
+// from it — a live run samples its own trace first and replays it, so there
+// is one failure clock. A TraceStore caches one trace per repetition, keyed
+// by (seed, rep), so every campaign over the same seed replays a plain array
+// instead of re-sampling it.
 //
 // Replay of a stored trace is bit-identical to a live run
 // (tests/sim/trace_replay_test.cpp): both sample the same process from the
@@ -33,15 +34,17 @@ class MetricsRegistry;
 
 namespace shiraz::sim {
 
-/// One repetition's inter-failure gaps, materialized up to a horizon. The
-/// last gap is the first whose running sum crosses the horizon: every failure
-/// a run can reach, no more and no fewer.
+/// One repetition's failure times, materialized up to a horizon. The last
+/// failure is the first at or past the horizon: every failure a run can
+/// reach, no more and no fewer.
 ///
-/// Alongside the gaps, the constructor caches the absolute failure times as
-/// sequential prefix sums (`fail_i = fail_{i-1} + gap_i`, starting from 0).
-/// Consumers (the event loop, the sweep/kernel paths) read fail_time()
-/// instead of re-deriving running sums per campaign, so they all see the
-/// same doubles.
+/// The constructor turns the drawn gaps into absolute failure times in place
+/// by sequential prefix sums (`fail_i = fail_{i-1} + gap_i`, starting from 0)
+/// and keeps only those. Consumers (the event loop, the sweep/kernel paths)
+/// read fail_time() instead of re-deriving running sums per campaign, so
+/// they all see the same doubles. A gap is not recoverable as a difference
+/// of failure times (that difference need not round back to the drawn gap);
+/// callers that need the gaps draw them from the process directly.
 class FailureTrace {
  public:
   FailureTrace(std::vector<Seconds> gaps, Seconds horizon);
@@ -51,12 +54,6 @@ class FailureTrace {
   static FailureTrace sample(const FailureProcess& process, Rng& rng,
                              Seconds horizon);
 
-  /// The i-th gap; replay cursors walk this in order.
-  Seconds gap(std::size_t i) const {
-    SHIRAZ_REQUIRE(i < gaps_.size(), "failure trace exhausted before the horizon");
-    return gaps_[i];
-  }
-
   /// Absolute time of the i-th failure (prefix sum of gaps [0, i]).
   Seconds fail_time(std::size_t i) const {
     SHIRAZ_REQUIRE(i < fail_times_.size(),
@@ -64,18 +61,16 @@ class FailureTrace {
     return fail_times_[i];
   }
 
-  /// Structure-of-arrays views for batched consumers (sim/kernel.cpp). The
-  /// invariants hold: fail_times().back() >= horizon() and every earlier
-  /// entry is < horizon(), so a replay that only advances while the next
-  /// failure precedes the horizon never runs off the end.
-  const std::vector<Seconds>& gaps() const { return gaps_; }
+  /// The whole array for batched consumers (sim/kernel.cpp). The invariants
+  /// hold: fail_times().back() >= horizon() and every earlier entry is
+  /// < horizon(), so a replay that only advances while the next failure
+  /// precedes the horizon never runs off the end.
   const std::vector<Seconds>& fail_times() const { return fail_times_; }
 
-  std::size_t size() const { return gaps_.size(); }
+  std::size_t size() const { return fail_times_.size(); }
   Seconds horizon() const { return horizon_; }
 
  private:
-  std::vector<Seconds> gaps_;
   std::vector<Seconds> fail_times_;
   Seconds horizon_;
 };

@@ -162,6 +162,9 @@ TEST_P(MetricsCampaignTest, SnapshotMatchesSerialReference) {
     copts.traces = &traces;
     copts.metrics = &registry;
     (void)engine.run_many(c.jobs, *c.scheduler, kReps, kSeed, copts);
+    // A trace holds one array: a failure time per gap.
+    EXPECT_EQ(registry.gauge("shiraz_trace_resident_bytes").value(),
+              static_cast<double>(sizeof(Seconds) * traces.total_gaps()));
     return registry.snapshot();
   };
 

@@ -154,7 +154,12 @@ TEST_P(RegimeProperty, SamplerAdapterReproducesSampleGaps) {
   Rng rl(kSeed);
   const sim::FailureTrace trace =
       sim::FailureTrace::sample(engine.failure_process(), rl, kHorizon);
-  EXPECT_EQ(trace.gaps(), batch);
+  ASSERT_EQ(trace.size(), batch.size());
+  Seconds t = 0.0;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    t += batch[i];
+    EXPECT_EQ(trace.fail_time(i), t) << "draw " << i;
+  }
   EXPECT_EQ(trace.horizon(), kHorizon);
 }
 
@@ -422,10 +427,9 @@ TEST(FailureRegimes, CursorSamplerThrowsWhenDrawnPastTheHorizon) {
   const sim::FailureTrace trace =
       sim::FailureTrace::sample(engine.failure_process(), rng, hours(100.0));
   std::size_t i = 0;
-  Seconds t = 0.0;
-  while (t < hours(100.0)) t += trace.gap(i++);
-  EXPECT_EQ(i, trace.size());
-  EXPECT_THROW(trace.gap(i), InvalidArgument);
+  while (trace.fail_time(i) < hours(100.0)) ++i;
+  EXPECT_EQ(i + 1, trace.size());
+  EXPECT_THROW(trace.fail_time(trace.size()), InvalidArgument);
 }
 
 // --- statistics helpers ----------------------------------------------------

@@ -397,19 +397,23 @@ TEST(FlatKernel, PredictiveReplayFallsBackAndMatches) {
 }
 
 // ---------------------------------------------------------------------------
-// The prefix-sum cache on FailureTrace (the kernel's SoA substrate).
+// FailureTrace's failure-time array (the kernel's SoA substrate).
 
 TEST(FlatKernel, FailureTracePrefixSumsMatchSequentialAddition) {
   const Engine loop = make_engine(false);
   const TraceStore traces(loop, kSeed);
   const FailureTrace& trace = traces.trace(0);
-  ASSERT_EQ(trace.fail_times().size(), trace.gaps().size());
+  // A fresh draw of repetition 0 from the stream the store used.
+  Rng rng = Rng(kSeed).fork(0);
+  std::vector<Seconds> gaps;
+  loop.failure_process()(rng, trace.horizon(), gaps);
+  ASSERT_EQ(trace.fail_times().size(), gaps.size());
   Seconds t = 0.0;
-  for (std::size_t i = 0; i < trace.gaps().size(); ++i) {
-    t += trace.gaps()[i];  // the exact accumulation a live clock performs
-    EXPECT_EQ(trace.fail_time(i), t) << "draw " << i;
+  for (std::size_t i = 0; i < gaps.size(); ++i) {
+    t += gaps[i];  // the exact accumulation a live clock performs
+    EXPECT_EQ(trace.fail_times()[i], t) << "draw " << i;
   }
-  EXPECT_THROW(trace.fail_time(trace.gaps().size()), InvalidArgument);
+  EXPECT_THROW(trace.fail_time(trace.size()), InvalidArgument);
 }
 
 }  // namespace

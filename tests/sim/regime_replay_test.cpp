@@ -204,7 +204,7 @@ TEST_P(RegimeReplay, StoreMaterializationIsIndependentOfAccessOrder) {
     const FailureTrace& b = rev.trace(r);
     ASSERT_EQ(a.size(), b.size()) << "rep " << r;
     for (std::size_t i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.gap(i), b.gap(i)) << "rep " << r << " gap " << i;
+      EXPECT_EQ(a.fail_time(i), b.fail_time(i)) << "rep " << r << " failure " << i;
     }
   }
 }

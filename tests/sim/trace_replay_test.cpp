@@ -206,11 +206,11 @@ TEST(TraceReplay, TraceEndsAtFirstGapCrossingHorizon) {
   const Engine engine = make_engine();
   const TraceStore traces(engine, kSeed);
   const FailureTrace& t = traces.trace(0);
-  Seconds sum = 0.0;
-  for (std::size_t i = 0; i + 1 < t.size(); ++i) sum += t.gap(i);
-  EXPECT_LT(sum, t.horizon());                 // all but the last stay inside
-  EXPECT_GE(sum + t.gap(t.size() - 1), t.horizon());  // the last crosses
-  EXPECT_THROW(t.gap(t.size()), InvalidArgument);
+  for (std::size_t i = 0; i + 1 < t.size(); ++i) {
+    EXPECT_LT(t.fail_time(i), t.horizon());    // all but the last stay inside
+  }
+  EXPECT_GE(t.fail_time(t.size() - 1), t.horizon());  // the last crosses
+  EXPECT_THROW(t.fail_time(t.size()), InvalidArgument);
 }
 
 TEST(TraceReplay, FailureTraceValidatesItsHorizon) {
