@@ -24,10 +24,15 @@
 // and effective gaps/s (failure draws the equivalent sampled campaigns
 // perform). `--json=FILE` dumps the numbers for CI trend tracking.
 //
-// `--check` turns the report into a gate: each mode is timed `--repeat`
-// times (best-of, so one scheduling hiccup cannot fail the build) and the
-// exit code is nonzero if any mode's output diverges bit-wise from the
-// sampled mode OR any committed speedup floor is missed. The floors are on
+// Each mode is timed over `--repeat` windows after one warm-up sweep. A
+// window runs whole sweeps back to back until it has lasted at least
+// kMinWindowSeconds, so even the few-millisecond kernel sweep is timed over
+// a span that outlasts scheduler noise; the reported time is the median
+// per-sweep time over the windows, printed with its spread.
+//
+// `--check` turns the report into a gate: the exit code is nonzero if any
+// mode's output diverges bit-wise from the sampled mode OR any committed
+// speedup floor is missed by the ratio of medians. The floors are on
 // mode-vs-mode ratios of back-to-back runs of the same workload on the same
 // machine — load-insensitive, unlike absolute campaigns/s. CI runs this on
 // every push, so a change that slows the kernel below its floor fails the
@@ -39,6 +44,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "common/statistics.h"
 #include "reliability/weibull.h"
 #include "sim/optimizer.h"
 #include "sim/trace.h"
@@ -49,7 +55,7 @@ namespace {
 
 // Committed speedup floors enforced by --check, set below the observed
 // steady-state ratios (see DESIGN.md §10) so only a real regression — not
-// machine noise on the best-of-N timings — can cross them. Replay saves the
+// machine noise on the median timings — can cross them. Replay saves the
 // RNG draws but still walks the event loop, so its steady-state gain is
 // modest (~1.2x); its floor just pins "replay is never slower than
 // sampling". The kernel runs ~20-40x over sampled; its floor is the product
@@ -57,6 +63,10 @@ namespace {
 // kernel >= 3x that sweep), so its bar is no lower than before.
 constexpr double kFloorReplayVsSampled = 1.05;
 constexpr double kFloorKernelVsSampled = 15.0;
+
+// Shortest timed window: each window repeats its mode's sweep until it has
+// lasted at least this long.
+constexpr double kMinWindowSeconds = 0.1;
 
 struct SweepUsefulByK {
   double baseline_lw = 0.0;
@@ -66,7 +76,10 @@ struct SweepUsefulByK {
 
 struct ModeResult {
   const char* name;
-  double secs = 0.0;
+  std::size_t sweeps_per_window = 0;  // fewest sweeps in a timed window
+  double window_secs = 0.0;           // shortest timed window
+  double secs = 0.0;                  // median per-sweep time over the windows
+  double spread = 0.0;                // (max - min) / median of the per-sweep times
   SweepUsefulByK useful;
 };
 
@@ -114,7 +127,8 @@ int main(int argc, char** argv) {
           " h, campaign 1000 h, delta 18 s / 1800 s, baseline + k in [" +
           std::to_string(k_lo) + ", " + std::to_string(k_hi) + "], " +
           run.describe() +
-          (check ? ", --check (best of " + std::to_string(repeat) + ")" : ""));
+          ", median of " + std::to_string(repeat) + " windows of >= " +
+          fmt(kMinWindowSeconds, 1) + " s" + (check ? ", --check" : ""));
 
   const Seconds mtbf = hours(mtbf_hours);
   // Two engines over the same failure process: `loop` pins the historical
@@ -183,13 +197,28 @@ int main(int argc, char** argv) {
   std::vector<ModeResult> modes;
   auto time_mode = [&](const char* name, auto&& fn) {
     ModeResult m{name};
-    m.secs = std::numeric_limits<double>::infinity();
+    m.useful = fn();  // warm-up; every sweep produces the same bits
+    std::vector<double> per_sweep;
+    m.sweeps_per_window = std::numeric_limits<std::size_t>::max();
+    m.window_secs = std::numeric_limits<double>::infinity();
     for (std::size_t t = 0; t < repeat; ++t) {
+      // One window: whole sweeps back to back until kMinWindowSeconds pass.
+      std::size_t sweeps = 0;
       const double t0 = now_secs();
-      SweepUsefulByK u = fn();
-      m.secs = std::min(m.secs, now_secs() - t0);
-      m.useful = std::move(u);  // identical on every repeat
+      double secs = 0.0;
+      do {
+        m.useful = fn();
+        ++sweeps;
+        secs = now_secs() - t0;
+      } while (secs < kMinWindowSeconds);
+      m.sweeps_per_window = std::min(m.sweeps_per_window, sweeps);
+      m.window_secs = std::min(m.window_secs, secs);
+      per_sweep.push_back(secs / static_cast<double>(sweeps));
     }
+    m.secs = percentile(per_sweep, 0.5);
+    m.spread = (*std::max_element(per_sweep.begin(), per_sweep.end()) -
+                *std::min_element(per_sweep.begin(), per_sweep.end())) /
+               m.secs;
     modes.push_back(std::move(m));
   };
   time_mode("sampled", run_sampled);
@@ -209,9 +238,11 @@ int main(int argc, char** argv) {
 
   const double gaps_per_sweep =
       static_cast<double>(gaps_per_rep_total) * static_cast<double>(n_k + 1);
-  Table table({"mode", "time (s)", "campaigns/s", "eff. gaps/s", "speedup"});
+  Table table({"mode", "time (s)", "spread", "sweeps/window", "window (s)",
+               "campaigns/s", "eff. gaps/s", "speedup"});
   for (const ModeResult& m : modes) {
-    table.add_row({m.name, fmt(m.secs, 3),
+    table.add_row({m.name, fmt(m.secs, 4), fmt(100.0 * m.spread, 1) + "%",
+                   std::to_string(m.sweeps_per_window), fmt(m.window_secs, 3),
                    fmt(static_cast<double>(campaigns_per_sweep) / m.secs, 0),
                    fmt(gaps_per_sweep / m.secs, 0),
                    fmt(modes[0].secs / m.secs, 2) + "x"});
@@ -278,6 +309,9 @@ int main(int argc, char** argv) {
       w.begin_object();
       w.kv("name", m.name);
       w.kv("seconds", m.secs);
+      w.kv("spread", m.spread);
+      w.kv("sweeps_per_window", static_cast<std::uint64_t>(m.sweeps_per_window));
+      w.kv("window_seconds", m.window_secs);
       w.kv("campaigns_per_sec", static_cast<double>(campaigns_per_sweep) / m.secs);
       w.kv("gaps_per_sec", gaps_per_sweep / m.secs);
       w.end_object();

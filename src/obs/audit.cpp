@@ -1,16 +1,20 @@
 #include "obs/audit.h"
 
 #include <cmath>
+#include <limits>
 #include <sstream>
 
 namespace shiraz::obs {
 
 namespace {
 
-[[noreturn]] void fail(const std::string& quantity, double got, double want) {
+/// `source` names where `got` comes from ("from events" for a stream sum).
+[[noreturn]] void fail(const std::string& quantity, double got, double want,
+                       const char* source = "from events") {
   std::ostringstream os;
+  os.precision(std::numeric_limits<double>::max_digits10);
   os << "event stream diverges from reported result: " << quantity
-     << " = " << got << " from events, " << want << " reported";
+     << " = " << got << " " << source << ", " << want << " reported";
   throw AuditError(os.str());
 }
 
@@ -23,11 +27,6 @@ namespace {
 }
 
 }  // namespace
-
-InvariantAuditor::InvariantAuditor(double tolerance_seconds)
-    : tolerance_(tolerance_seconds) {
-  SHIRAZ_REQUIRE(tolerance_seconds >= 0.0, "tolerance must be non-negative");
-}
 
 InvariantAuditor::AppTotals& InvariantAuditor::app(std::int32_t index) {
   SHIRAZ_REQUIRE(index >= 0, "event kind requires an application index");
@@ -89,8 +88,21 @@ void InvariantAuditor::verify(const ExpectedTotals& expected) const {
     fail_count("application count", apps_.size(), expected.apps.size());
   }
 
+  // Rounding bound on every time sum. All time terms are non-negative and
+  // tile `wall`, so each floating-point operation behind a sum (advancing
+  // the clock, differencing two instants, adding a term to an accumulator)
+  // errs by at most eps/2 * wall. An event stands for at most four of them
+  // (a commit: two clock advances, two accumulator additions) plus two for
+  // an idle stretch before it (idle emits no event, and every idle stretch
+  // but the last ends at an event); the tiling sums below add four per app
+  // and two more. So n = 6 * (events + 1) + 4 * apps + 2 operations drift
+  // by at most n * eps/2 * wall, and n * eps * wall keeps a factor of two.
+  const double n = 6.0 * static_cast<double>(events_seen_ + 1) +
+                   4.0 * static_cast<double>(expected.apps.size()) + 2.0;
+  const double tolerance =
+      n * std::numeric_limits<double>::epsilon() * expected.wall;
   const auto near = [&](double a, double b) {
-    return std::abs(a - b) <= tolerance_;
+    return std::abs(a - b) <= tolerance;
   };
 
   double busy = 0.0;
@@ -148,15 +160,15 @@ void InvariantAuditor::verify(const ExpectedTotals& expected) const {
   // == wall — the accounted() invariant, recomputed from first principles —
   // and the event-derived busy time implies the same idle the run reported.
   const double accounted = busy + expected.idle + expected.truncated;
-  if (std::abs(accounted - expected.wall) > tolerance_) {
-    fail("accounted horizon", accounted, expected.wall);
+  if (!near(accounted, expected.wall)) {
+    fail("accounted horizon", accounted, expected.wall, "from reported totals");
   }
   double busy_events = 0.0;
   for (const AppTotals& a : apps_) {
     busy_events += a.useful + a.io + a.lost + a.restart;
   }
   const double idle_events = expected.wall - busy_events - truncated_;
-  if (std::abs(idle_events - expected.idle) > tolerance_) {
+  if (!near(idle_events, expected.idle)) {
     fail("idle", idle_events, expected.idle);
   }
 }

@@ -54,16 +54,11 @@ struct ExpectedTotals {
 
 class InvariantAuditor final : public EventSink {
  public:
-  /// `tolerance_seconds` bounds the permitted drift between event-derived and
-  /// reported time sums. The engine accumulates both in the same order, so
-  /// agreement is typically exact; the default absorbs only representation
-  /// noise, never a modeling bug.
-  explicit InvariantAuditor(double tolerance_seconds = 1e-6);
-
   void on_event(const Event& event) override;
 
   /// Throws AuditError unless every aggregate recomputed from the stream
-  /// matches `expected` (time sums within the tolerance, counts exactly) and
+  /// matches `expected` (counts exactly; time sums within the rounding
+  /// bound of the run, which grows with its event count and its wall) and
   /// the expected decomposition itself satisfies accounted() == wall.
   void verify(const ExpectedTotals& expected) const;
 
@@ -85,7 +80,6 @@ class InvariantAuditor final : public EventSink {
 
   AppTotals& app(std::int32_t index);
 
-  double tolerance_;
   std::vector<AppTotals> apps_;
   double truncated_ = 0.0;
   std::size_t failures_ = 0;

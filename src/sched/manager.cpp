@@ -87,9 +87,9 @@ std::optional<int> WorkloadManager::sim_solve_k(Seconds delta_lw,
   // The same model signature the analytical path solves, evaluated by
   // simulation against the real failure distribution instead of the nominal
   // Weibull model. The solve's failure streams come from sim_solve_seed —
-  // disjoint from the campaign's own Rng — and the engine's flat replay
-  // kernel (free restarts/switches, periodic OCI schedules) batches the
-  // whole k scan, so the solve costs milliseconds, not campaigns.
+  // disjoint from the campaign's own Rng — and the flat replay kernel's
+  // pair sweep (periodic OCI schedules) batches the whole k scan, so the
+  // solve costs milliseconds, not campaigns.
   sim::EngineConfig ecfg;
   ecfg.t_total = config_.horizon;
   const sim::Engine engine(*failure_dist_, ecfg);

@@ -134,7 +134,7 @@ SimResult Engine::run_impl(const std::vector<SimJob>& jobs, const Scheduler& sch
   // Closed-form-eligible runs take the flat kernel (sim/kernel.h): the same
   // result, bit for bit, from a batched pass over the trace's
   // structure-of-arrays buffers instead of the per-event walk below.
-  // Ineligible configurations — alarms, sinks, costs, aperiodic schedules,
+  // Ineligible configurations — alarms, sinks, aperiodic schedules,
   // stateful policies — fall through to the event loop.
   if (config_.flat_kernel) {
     SimResult flat;

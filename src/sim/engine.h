@@ -59,9 +59,9 @@ struct EngineConfig {
   /// compare per would-be event. Single runs stream events as they happen;
   /// run_campaign buffers per repetition and merges in repetition order.
   obs::EventSink* sink = nullptr;
-  /// Dispatch Engine runs of closed-form-eligible configurations (free
-  /// restarts/switches, periodic schedules, no alarms, no sink, a flat
-  /// phase-plan scheduler — see sim/kernel.h) to the flat replay kernel.
+  /// Dispatch Engine runs of closed-form-eligible configurations (periodic
+  /// schedules, no alarms, no sink, a flat phase-plan scheduler — see
+  /// sim/kernel.h) to the flat replay kernel.
   /// The kernel is bit-identical to the event loop (tests/sim/kernel_test),
   /// so this is purely a speed knob; false forces every Engine run through
   /// the event loop (benchmarking, differential testing). It does not reach

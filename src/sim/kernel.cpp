@@ -1,5 +1,6 @@
 #include "sim/kernel.h"
 
+#include <algorithm>
 #include <cstddef>
 #include <limits>
 #include <typeinfo>
@@ -108,8 +109,6 @@ const char* check_and_plan(const EngineConfig& config,
                            const std::vector<SimJob>& jobs,
                            const Scheduler& scheduler, const AlarmSource* alarms,
                            const obs::EventSink* sink, FlatPlan* out) {
-  if (config.restart_cost != 0.0) return "restart cost is not free";
-  if (config.switch_cost != 0.0) return "switch cost is not free";
   if (config.sink != nullptr || sink != nullptr) {
     return "an event sink observes the run";
   }
@@ -161,6 +160,18 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
   Seconds now = 0.0;
   Seconds next_fail = fail_times[cursor++];
 
+  // The engine's two downtime windows (a restart after a failure, a
+  // drain/launch at a switch): [now, min(now + cost, next_fail, horizon))
+  // charged to the app that runs next. A clamped window needs no special
+  // case: at next_fail the next segment is wiped with lost += 0 and the
+  // failure hits that app, as in the event loop; at the horizon the next
+  // segment truncates 0 and ends the run.
+  const auto downtime = [&](Seconds cost, AppMetrics& app) {
+    const Seconds end = std::min({now + cost, next_fail, horizon});
+    app.restart += end - now;
+    now = end;
+  };
+
   // Tracks res.failures % cycle without the per-gap division — failures
   // advance by exactly one per gap.
   std::size_t plan_idx = 0;
@@ -188,6 +199,9 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
         ++am->failures_hit;
         next_fail = fail_times[cursor++];
         if (++plan_idx == cycle) plan_idx = 0;
+        if (config.restart_cost > 0.0) {
+          downtime(config.restart_cost, res.apps[flat.plans[plan_idx][0].app]);
+        }
         break;  // next gap: re-plan from the new failure count
       }
       am->useful += tau;
@@ -196,13 +210,15 @@ SimResult run_flat(const EngineConfig& config, const std::vector<SimJob>& jobs,
       now = seg_end;
       if (++done_in_phase >= plan[phase].budget) {
         ++phase;
-        const std::size_t next_app = plan[phase].app;
-        if (next_app != ai) ++res.switches;  // free hand-off (switch_cost 0)
-        ai = next_app;
-        tau = taus[ai];
-        delta = deltas[ai];
-        am = &res.apps[ai];
         done_in_phase = 0;
+        if (plan[phase].app != ai) {
+          ai = plan[phase].app;
+          tau = taus[ai];
+          delta = deltas[ai];
+          am = &res.apps[ai];
+          ++res.switches;
+          if (config.switch_cost > 0.0) downtime(config.switch_cost, *am);
+        }
       }
     }
   }

@@ -1,9 +1,10 @@
 // Flat replay kernel: batched structure-of-arrays campaign evaluation.
 //
-// For closed-form-eligible configurations — free restarts and switches,
-// periodic schedules, no alarm source, no event sink, and a scheduler whose
-// per-gap behavior is a fixed phase plan — a campaign over a materialized
-// FailureTrace is fully determined by the trace's failure-time array.
+// For closed-form-eligible configurations — periodic schedules, no alarm
+// source, no event sink, and a scheduler whose per-gap behavior is a fixed
+// phase plan — a campaign over a materialized FailureTrace is fully
+// determined by the trace's failure-time array and the engine's restart and
+// switch costs.
 // try_flat_replay() walks that array directly: no virtual next_interval per
 // segment, no SchedContext construction, no per-event emit checks, no
 // per-gap checkpoint-count vectors — just the engine's three comparisons and
@@ -11,12 +12,15 @@
 // (live runs sample theirs first), so every run is a candidate.
 //
 // Bit-identity contract (the same one sim/optimizer.cpp's pair sweep keeps):
-// the kernel performs the engine's useful/io/lost/truncated additions on the
-// same doubles in the same chronological order, resolves every segment with
+// the kernel performs the engine's useful/io/lost/restart/truncated
+// additions on the same doubles in the same chronological order, resolves
+// every segment with
 // the engine's exact comparison structure (`write_start = now + tau;
 // seg_end = write_start + delta`; truncate iff horizon <= min(seg_end,
-// next_fail); fail iff next_fail < seg_end), and reads failure times from
-// the same FailureTrace::fail_times() prefix sums the event loop reads. The
+// next_fail); fail iff next_fail < seg_end), opens the engine's restart and
+// switch windows (`min(now + cost, next_fail, horizon)`, charged to the app
+// that runs next) at the same instants, and reads failure times from the
+// same FailureTrace::fail_times() prefix sums the event loop reads. The
 // result therefore equals the event loop's bit for bit (enforced by
 // tests/sim/kernel_test.cpp and micro_engine_throughput --check);
 // Engine::run_impl dispatches here automatically when
@@ -45,8 +49,7 @@ struct KernelEligibility {
 
 /// The kernel's one entry point. Checks every eligibility rule the kernel
 /// relies on:
-///  * config models free restarts and switches (restart_cost == switch_cost
-///    == 0) and has no engine-level event sink;
+///  * config has no engine-level event sink;
 ///  * no alarm source and no campaign sink (pass the call-site values);
 ///  * every job schedule is periodic (IntervalSchedule::period() non-null);
 ///  * the scheduler is exactly (typeid, not is-a — subclasses may override

@@ -29,14 +29,21 @@ SimSwitchCandidate candidate_from(int k, double lw_useful, double hw_useful,
 /// light-weight interval is hoisted to `tau_lw` (== the LW schedule's
 /// period) and the heavy-weight to `tau_hw`. Accumulates, per candidate
 /// k in [k_lo, k_lo + acc.size()), the useful-work additions ShirazPair(k)
-/// performs over `trace` under free restarts and switches — bit-identical to
-/// the event loop's (the hoisted period equals every next_interval return by
-/// the period() contract, and the segment resolution below is the engine's
+/// performs over `config`'s horizon of `trace` — bit-identical to the event
+/// loop's (the hoisted period equals every next_interval return by the
+/// period() contract, and the segment resolution below is the engine's
 /// comparison structure verbatim).
 void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
-                         Seconds delta_hw, int k_lo, Seconds horizon,
+                         Seconds delta_hw, int k_lo, const EngineConfig& config,
                          const FailureTrace& trace,
                          std::vector<SweepUseful>& acc) {
+  const Seconds horizon = config.t_total;
+  // The engine's restart and switch windows move where segments start. It
+  // clamps each window at the next failure and the horizon, but a window
+  // reaching either completes no segment whether clamped or not, so the
+  // sweep only adds the cost (x + 0.0 == x keeps free windows exact).
+  const Seconds restart_cost = config.restart_cost;
+  const Seconds switch_cost = config.switch_cost;
   const std::size_t n = acc.size();
   const int k_hi = k_lo + static_cast<int>(n) - 1;
   const std::size_t k_lo_sz = static_cast<std::size_t>(k_lo);
@@ -83,7 +90,7 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
     for (std::size_t i = 0; i < switched; ++i) {
       const std::size_t k = k_lo_sz + i;
       lw_segments[i] += k;
-      Seconds t = seg_end_at[k - 1];
+      Seconds t = seg_end_at[k - 1] + switch_cost;
       for (;;) {
         const Seconds seg_end = t + tau_hw + delta_hw;
         if (horizon <= seg_end && horizon <= next_fail) break;
@@ -95,7 +102,7 @@ void flat_pair_sweep_rep(Seconds tau_lw, Seconds delta_lw, Seconds tau_hw,
     for (std::size_t i = switched; i < n; ++i) lw_segments[i] += completed;
 
     if (next_fail >= horizon) break;
-    gap_start = next_fail;
+    gap_start = next_fail + restart_cost;
     next_fail = fail_times[cursor++];
   }
 
@@ -129,20 +136,11 @@ SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
   opts.workers = workers;
   opts.traces = &traces;
   const std::vector<SimJob> jobs{lw, hw};
-  const AlternateAtFailure baseline_policy;
-  const SimResult base = engine.run_many(jobs, baseline_policy, reps, seed, opts);
-  return simulate_switch_point(engine, lw, hw, k, base, reps, seed, opts);
-}
-
-SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
-                                         const SimJob& hw, int k,
-                                         const SimResult& baseline,
-                                         std::size_t reps, std::uint64_t seed,
-                                         const CampaignOptions& opts) {
-  const std::vector<SimJob> jobs{lw, hw};
-  const ShirazPairScheduler shiraz_policy(k);
-  const SimResult sz = engine.run_many(jobs, shiraz_policy, reps, seed, opts);
-  return candidate_from(k, sz.apps[0].useful, sz.apps[1].useful, baseline);
+  const SimResult base =
+      engine.run_many(jobs, AlternateAtFailure{}, reps, seed, opts);
+  const SimResult sz =
+      engine.run_many(jobs, ShirazPairScheduler(k), reps, seed, opts);
+  return candidate_from(k, sz.apps[0].useful, sz.apps[1].useful, base);
 }
 
 SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& lw,
@@ -166,44 +164,32 @@ SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& 
   const AlternateAtFailure baseline_policy;
   const SimResult base = engine.run_many(jobs, baseline_policy, reps, seed, opts);
 
-  SimSwitchSolution sol;
+  // One replayed pass evaluates the whole range, sharing each gap's
+  // light-weight prefix across candidates — bit-identical to per-candidate
+  // campaigns. It rejects an aperiodic pair.
+  const std::vector<SweepUseful> sweep = replay_pair_sweep(
+      engine, lw, hw, k_lo, k_hi, reps, traces, workers, opts.pool);
+
   // Same fairness criterion the model solver applies: the k nearest the
   // Delta_LW = Delta_HW crossing, accepted only when the total gain there is
-  // material (see core::solve_switch_point).
+  // material (see core::solve_switch_point; a range with no comparable
+  // candidate keeps `best`'s zero gain and is rejected).
+  SimSwitchSolution sol;
   double best_gap = std::numeric_limits<double>::infinity();
   SimSwitchCandidate best;
-  bool have_candidate = false;
-  auto consider = [&](const SimSwitchCandidate& c) {
+  for (int k = k_lo; k <= k_hi; ++k) {
+    const SweepUseful& u = sweep[static_cast<std::size_t>(k - k_lo)];
+    const SimSwitchCandidate c = candidate_from(k, u.lw, u.hw, base);
     sol.sweep.push_back(c);
     const double gap = std::fabs(c.delta_lw - c.delta_hw);
     if (gap < best_gap) {
       best_gap = gap;
       best = c;
-      have_candidate = true;
-    }
-  };
-
-  // The baseline campaign above has already validated both jobs' schedules.
-  if (engine.config().restart_cost == 0.0 && engine.config().switch_cost == 0.0 &&
-      lw.schedule->period() && hw.schedule->period()) {
-    // Free restarts and switches with periodic schedules (the paper's model
-    // setting): one replayed pass evaluates the whole range, sharing each
-    // gap's light-weight prefix across candidates — bit-identical to the
-    // per-candidate campaigns, which every other pair runs.
-    const std::vector<SweepUseful> sweep = replay_pair_sweep(
-        engine, lw, hw, k_lo, k_hi, reps, traces, workers, opts.pool);
-    for (int k = k_lo; k <= k_hi; ++k) {
-      const SweepUseful& u = sweep[static_cast<std::size_t>(k - k_lo)];
-      consider(candidate_from(k, u.lw, u.hw, base));
-    }
-  } else {
-    for (int k = k_lo; k <= k_hi; ++k) {
-      consider(simulate_switch_point(engine, lw, hw, k, base, reps, seed, opts));
     }
   }
 
   const double materiality = 1e-4 * (base.apps[0].useful + base.apps[1].useful);
-  if (have_candidate && best.delta_total > materiality) {
+  if (best.delta_total > materiality) {
     sol.k = best.k;
     sol.delta_lw = best.delta_lw;
     sol.delta_hw = best.delta_hw;
@@ -219,9 +205,6 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
                                            common::ThreadPool* pool) {
   SHIRAZ_REQUIRE(k_lo >= 1 && k_hi >= k_lo, "invalid k range");
   SHIRAZ_REQUIRE(reps >= 1, "need at least one repetition");
-  SHIRAZ_REQUIRE(
-      engine.config().restart_cost == 0.0 && engine.config().switch_cost == 0.0,
-      "replay_pair_sweep models free restarts and switches");
   SHIRAZ_REQUIRE(lw.delta > 0.0 && hw.delta > 0.0,
                  "job checkpoint cost must be positive");
   SHIRAZ_REQUIRE(lw.schedule != nullptr && hw.schedule != nullptr,
@@ -234,12 +217,11 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
                  "trace store horizon does not cover the engine horizon");
   traces.ensure(reps);
 
-  const Seconds horizon = engine.config().t_total;
   const std::size_t n = static_cast<std::size_t>(k_hi - k_lo + 1);
   std::vector<std::vector<SweepUseful>> per_rep(reps, std::vector<SweepUseful>(n));
   auto one_rep = [&](std::size_t r) {
     flat_pair_sweep_rep(*lw_period, lw.delta, *hw_period, hw.delta, k_lo,
-                        horizon, traces.trace(r), per_rep[r]);
+                        engine.config(), traces.trace(r), per_rep[r]);
   };
   if ((workers <= 1 && pool == nullptr) || reps == 1) {
     for (std::size_t r = 0; r < reps; ++r) one_rep(r);

@@ -42,26 +42,12 @@ SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
                                          std::uint64_t seed,
                                          std::size_t workers = 1);
 
-/// Variant with a precomputed baseline: the baseline campaign is
-/// policy-independent across a k sweep (common random numbers), so callers
-/// simulate it once and pass it to every candidate, along with shared
-/// campaign plumbing (trace store, pool) via `opts`.
-SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
-                                         const SimJob& hw, int k,
-                                         const SimResult& baseline,
-                                         std::size_t reps, std::uint64_t seed,
-                                         const CampaignOptions& opts = {});
-
-/// Scans k in [k_lo, k_hi] and returns the simulated fair switch point. Each
-/// candidate's baseline+Shiraz campaign pair dispatches its repetitions onto
-/// `workers` threads; the sweep and the chosen k are worker-count-invariant.
-/// Internally samples each repetition's failure stream once (TraceStore) and
-/// spawns one thread pool, replaying both across the baseline and every
-/// candidate; when the engine models free restarts and switches and both
-/// schedules are periodic, the whole range is evaluated in one replayed pass
-/// (replay_pair_sweep), and every other pair runs per-candidate campaigns
-/// (simulate_switch_point). Both routes are bit-identical to the historical
-/// per-candidate campaigns.
+/// Scans k in [k_lo, k_hi] and returns the simulated fair switch point.
+/// Samples each repetition's failure stream once (TraceStore) and spawns one
+/// pool of `workers` threads; the baseline campaign and one replayed pass
+/// over the whole range (replay_pair_sweep, bit-identical to per-candidate
+/// campaigns) share both, so the pair's schedules must be periodic. The
+/// sweep and the chosen k are worker-count-invariant.
 SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& lw,
                                             const SimJob& hw, int k_lo, int k_hi,
                                             std::size_t reps, std::uint64_t seed,
@@ -80,12 +66,12 @@ struct SweepUseful {
 /// tests/sim/trace_replay_test.cpp). Every candidate runs the light-weight
 /// app identically until its k-th checkpoint, so each gap's light-weight
 /// prefix is simulated once and shared across the range; only the (short)
-/// heavy-weight tails are per-candidate. Requires the free-restart,
-/// free-switch engine configuration the paper's model assumes
-/// (restart_cost == 0 and switch_cost == 0), periodic schedules for both
-/// jobs (IntervalSchedule::period() non-null; the paper keeps checkpoints
-/// equidistant, Shiraz+'s stretch included) and k_lo >= 1. Always runs this
-/// count-table sweep, whatever EngineConfig::flat_kernel says.
+/// heavy-weight tails are per-candidate. The engine's restart and switch
+/// windows only shift where those segments start. Requires periodic
+/// schedules for both jobs (IntervalSchedule::period() non-null; the paper
+/// keeps checkpoints equidistant, Shiraz+'s stretch included) and k_lo >= 1.
+/// Always runs this count-table sweep, whatever EngineConfig::flat_kernel
+/// says.
 std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& lw,
                                            const SimJob& hw, int k_lo, int k_hi,
                                            std::size_t reps, const TraceStore& traces,

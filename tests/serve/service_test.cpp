@@ -114,6 +114,21 @@ TEST(ServeService, PairWhatifStreamsRepStampedAuditLog) {
   EXPECT_EQ(service.counters().audited_reps, 2u);
 }
 
+TEST(ServeService, LongHorizonWhatifPassesItsAudit) {
+  // The audit's rounding bound grows with the run: long horizons accumulate
+  // ordinary float drift in the reported totals, which is not a divergence.
+  Service service;
+  for (const char* op : {"pair_whatif", "subscribe"}) {
+    for (const char* t_total_hours : {"3000", "8760", "1e5"}) {
+      const std::string line = std::string(R"({"op":")") + op +
+                               R"(","delta_lw_s":18,"delta_hw_s":1800,"t_total_hours":)" +
+                               t_total_hours + R"(,"reps":1})";
+      const std::string response = service.handle(line);
+      EXPECT_TRUE(parse_json(response).at("ok").boolean) << line << " -> " << response;
+    }
+  }
+}
+
 TEST(ServeService, PairWhatifRepsCapIsEnforced) {
   ServiceConfig cfg;
   cfg.max_whatif_reps = 4;

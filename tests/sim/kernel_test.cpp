@@ -45,6 +45,31 @@ Engine make_engine(bool flat_kernel, Seconds t_total = hours(200.0),
   return Engine(reliability::Weibull::from_mtbf(0.6, mtbf), cfg);
 }
 
+/// The engine's downtime windows as one more input: free, short, and long
+/// enough that failures cut them short — the last with a horizon short
+/// enough that windows also run into it.
+struct CostCase {
+  Seconds restart = 0.0;
+  Seconds switching = 0.0;
+  Seconds t_total = hours(200.0);
+};
+
+const CostCase kCostCases[] = {{0.0, 0.0},
+                               {60.0, 30.0},
+                               {hours(4.0), hours(3.0)},
+                               {hours(4.0), hours(3.0), hours(7.3)}};
+
+Engine make_costly_engine(bool flat_kernel, const CostCase& costs,
+                          obs::EventSink* sink = nullptr) {
+  EngineConfig cfg;
+  cfg.t_total = costs.t_total;
+  cfg.restart_cost = costs.restart;
+  cfg.switch_cost = costs.switching;
+  cfg.flat_kernel = flat_kernel;
+  cfg.sink = sink;
+  return Engine(reliability::Weibull::from_mtbf(0.6, hours(5.0)), cfg);
+}
+
 void expect_identical(const SimResult& a, const SimResult& b) {
   ASSERT_EQ(a.apps.size(), b.apps.size());
   for (std::size_t i = 0; i < a.apps.size(); ++i) {
@@ -178,57 +203,89 @@ INSTANTIATE_TEST_SUITE_P(Corpus, FlatKernelCorpus,
 // Direct kernel calls vs Engine::replay on a renewal process.
 
 TEST(FlatKernel, FlatReplayMatchesEngineReplay) {
-  const Engine loop = make_engine(false);
-  const TraceStore traces(loop, kSeed);
-  traces.ensure(kReps);
-  for (const PolicyKind kind :
-       {PolicyKind::kBaseline, PolicyKind::kShiraz, PolicyKind::kShirazPlus}) {
-    const PolicyCase c = make_policy(kind, hours(5.0));
-    for (std::size_t r = 0; r < kReps; ++r) {
-      const SimResult via_loop = loop.replay(c.jobs, *c.scheduler, traces.trace(r));
-      SimResult via_kernel;
-      const KernelEligibility e = try_flat_replay(
-          loop.config(), c.jobs, *c.scheduler, nullptr, nullptr, traces.trace(r),
-          &via_kernel);
-      ASSERT_TRUE(e.eligible) << e.reason;
-      expect_identical(via_kernel, via_loop);
+  // The event loop narrates each run, so the test can also show that its
+  // inputs reach both clamps of a downtime window: a window cut short by a
+  // failure is followed by more events, one cut short by the horizon ends
+  // the run.
+  std::size_t clamped_by_failure = 0;
+  std::size_t clamped_by_horizon = 0;
+  obs::EventRecorder recorder;
+  for (const CostCase& costs : kCostCases) {
+    const Engine loop = make_costly_engine(false, costs, &recorder);
+    EngineConfig untraced = loop.config();
+    untraced.sink = nullptr;
+    const TraceStore traces(loop, kSeed);
+    traces.ensure(kReps);
+    for (const PolicyKind kind :
+         {PolicyKind::kBaseline, PolicyKind::kShiraz, PolicyKind::kShirazPlus}) {
+      const PolicyCase c = make_policy(kind, hours(5.0));
+      for (std::size_t r = 0; r < kReps; ++r) {
+        recorder.clear();
+        const SimResult via_loop =
+            loop.replay(c.jobs, *c.scheduler, traces.trace(r));
+        SimResult via_kernel;
+        const KernelEligibility e =
+            try_flat_replay(untraced, c.jobs, *c.scheduler, nullptr, nullptr,
+                            traces.trace(r), &via_kernel);
+        ASSERT_TRUE(e.eligible) << e.reason;
+        expect_identical(via_kernel, via_loop);
+
+        const std::vector<obs::Event>& events = recorder.events();
+        for (std::size_t i = 0; i < events.size(); ++i) {
+          const obs::Event& ev = events[i];
+          const Seconds cost = ev.kind == obs::EventKind::kRestart ? costs.restart
+                               : ev.kind == obs::EventKind::kAppSwitch
+                                   ? costs.switching
+                                   : 0.0;
+          if (ev.duration >= cost) continue;
+          if (i + 1 < events.size()) {
+            ++clamped_by_failure;
+          } else {
+            ++clamped_by_horizon;
+          }
+        }
+      }
     }
   }
+  EXPECT_GT(clamped_by_failure, 0u);
+  EXPECT_GT(clamped_by_horizon, 0u);
 }
 
 TEST(FlatKernel, MultiSwitchAndPairRotationFlatten) {
-  const Engine flat = make_engine(true);
-  const Engine loop = make_engine(false);
-  const TraceStore traces(loop, kSeed);
-  CampaignOptions opts;
-  opts.traces = &traces;
+  for (const CostCase& costs : kCostCases) {
+    const Engine flat = make_costly_engine(true, costs);
+    const Engine loop = make_costly_engine(false, costs);
+    const TraceStore traces(loop, kSeed);
+    CampaignOptions opts;
+    opts.traces = &traces;
 
-  // Three-app multi-switch chain, including a zero count (skipped turn).
-  {
-    std::vector<SimJob> jobs{SimJob::at_oci("a", 12.0, hours(5.0)),
-                             SimJob::at_oci("b", 120.0, hours(5.0)),
-                             SimJob::at_oci("c", 1200.0, hours(5.0))};
-    const MultiSwitchScheduler sched(std::vector<int>{9, 0});
-    expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
-                     loop.run_many(jobs, sched, kReps, kSeed, opts));
-  }
-  // Two rotating pairs: one solved k, one k-less (lead-alternating), plus a
-  // k == 0 Shiraz pair (heavy only) as its own case.
-  {
-    std::vector<SimJob> jobs{SimJob::at_oci("lw0", 12.0, hours(5.0)),
-                             SimJob::at_oci("hw0", 1200.0, hours(5.0)),
-                             SimJob::at_oci("lw1", 30.0, hours(5.0)),
-                             SimJob::at_oci("hw1", 3000.0, hours(5.0))};
-    const PairRotationScheduler sched(
-        std::vector<std::optional<int>>{14, std::nullopt});
-    expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
-                     loop.run_many(jobs, sched, kReps, kSeed, opts));
-  }
-  {
-    const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
-    const ShirazPairScheduler k0(0);
-    expect_identical(flat.run_many(c.jobs, k0, kReps, kSeed, opts),
-                     loop.run_many(c.jobs, k0, kReps, kSeed, opts));
+    // Three-app multi-switch chain, including a zero count (skipped turn).
+    {
+      std::vector<SimJob> jobs{SimJob::at_oci("a", 12.0, hours(5.0)),
+                               SimJob::at_oci("b", 120.0, hours(5.0)),
+                               SimJob::at_oci("c", 1200.0, hours(5.0))};
+      const MultiSwitchScheduler sched(std::vector<int>{9, 0});
+      expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
+                       loop.run_many(jobs, sched, kReps, kSeed, opts));
+    }
+    // Two rotating pairs: one solved k, one k-less (lead-alternating), plus
+    // a k == 0 Shiraz pair (heavy only) as its own case.
+    {
+      std::vector<SimJob> jobs{SimJob::at_oci("lw0", 12.0, hours(5.0)),
+                               SimJob::at_oci("hw0", 1200.0, hours(5.0)),
+                               SimJob::at_oci("lw1", 30.0, hours(5.0)),
+                               SimJob::at_oci("hw1", 3000.0, hours(5.0))};
+      const PairRotationScheduler sched(
+          std::vector<std::optional<int>>{14, std::nullopt});
+      expect_identical(flat.run_many(jobs, sched, kReps, kSeed, opts),
+                       loop.run_many(jobs, sched, kReps, kSeed, opts));
+    }
+    {
+      const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
+      const ShirazPairScheduler k0(0);
+      expect_identical(flat.run_many(c.jobs, k0, kReps, kSeed, opts),
+                       loop.run_many(c.jobs, k0, kReps, kSeed, opts));
+    }
   }
 }
 
@@ -236,24 +293,31 @@ TEST(FlatKernel, SweepMatchesEventLoopSweep) {
   // replay_pair_sweep's count-table sweep against its oracle, the event loop:
   // each candidate k must equal a ShirazPairScheduler(k) campaign on a
   // flat_kernel=false engine over the same store — for a plain pair and a
-  // Shiraz+ pair whose heavy-weight schedule is stretched by 2.
-  const Engine loop = make_engine(false);
-  const TraceStore traces(loop, kSeed);
-  CampaignOptions opts;
-  opts.traces = &traces;
-  const SimJob lw = SimJob::at_oci("lw", kDeltaLw, hours(5.0));
-  for (const unsigned stretch : {1u, 2u}) {
-    const SimJob hw = SimJob::at_oci("hw", kDeltaHw, hours(5.0), stretch);
-    const std::vector<SimJob> jobs{lw, hw};
-    const std::vector<SweepUseful> sweep =
-        replay_pair_sweep(loop, lw, hw, 20, 32, kReps, traces, 1, nullptr);
-    ASSERT_EQ(sweep.size(), 13u);
-    for (int k = 20; k <= 32; ++k) {
-      const ShirazPairScheduler shiraz(k);
-      const SimResult ref = loop.run_many(jobs, shiraz, kReps, kSeed, opts);
-      const SweepUseful& u = sweep[static_cast<std::size_t>(k - 20)];
-      EXPECT_EQ(u.lw, ref.apps[0].useful) << "stretch " << stretch << ", k = " << k;
-      EXPECT_EQ(u.hw, ref.apps[1].useful) << "stretch " << stretch << ", k = " << k;
+  // Shiraz+ pair whose heavy-weight schedule is stretched by 2, under every
+  // restart and switch cost.
+  for (const CostCase& costs : kCostCases) {
+    const Engine loop = make_costly_engine(false, costs);
+    const TraceStore traces(loop, kSeed);
+    CampaignOptions opts;
+    opts.traces = &traces;
+    const SimJob lw = SimJob::at_oci("lw", kDeltaLw, hours(5.0));
+    for (const unsigned stretch : {1u, 2u}) {
+      const SimJob hw = SimJob::at_oci("hw", kDeltaHw, hours(5.0), stretch);
+      const std::vector<SimJob> jobs{lw, hw};
+      const std::vector<SweepUseful> sweep =
+          replay_pair_sweep(loop, lw, hw, 20, 32, kReps, traces, 1, nullptr);
+      ASSERT_EQ(sweep.size(), 13u);
+      for (int k = 20; k <= 32; ++k) {
+        const ShirazPairScheduler shiraz(k);
+        const SimResult ref = loop.run_many(jobs, shiraz, kReps, kSeed, opts);
+        const SweepUseful& u = sweep[static_cast<std::size_t>(k - 20)];
+        EXPECT_EQ(u.lw, ref.apps[0].useful)
+            << "restart " << costs.restart << ", stretch " << stretch
+            << ", k = " << k;
+        EXPECT_EQ(u.hw, ref.apps[1].useful)
+            << "restart " << costs.restart << ", stretch " << stretch
+            << ", k = " << k;
+      }
     }
   }
 }
@@ -289,14 +353,6 @@ TEST(FlatKernel, EligibilityRules) {
   EXPECT_TRUE(ok.eligible);
   EXPECT_STREQ(ok.reason, "");
   EXPECT_EQ(out.apps.size(), c.jobs.size());
-
-  EngineConfig restart = cfg;
-  restart.restart_cost = 30.0;
-  EXPECT_EQ(reason(restart, c.jobs, *c.scheduler), "restart cost is not free");
-
-  EngineConfig switching = cfg;
-  switching.switch_cost = 10.0;
-  EXPECT_EQ(reason(switching, c.jobs, *c.scheduler), "switch cost is not free");
 
   obs::EventRecorder recorder;
   EngineConfig traced = cfg;
@@ -354,28 +410,22 @@ TEST(FlatKernel, IneligibleConfigurationsFallBackToTheEventLoop) {
   CampaignOptions opts;
   opts.traces = &traces;
 
-  EngineConfig cfg;
-  cfg.t_total = hours(200.0);
-  cfg.switch_cost = 10.0;  // ineligible: the hand-off costs time
-  const reliability::Weibull dist =
-      reliability::Weibull::from_mtbf(0.6, hours(5.0));
-  cfg.flat_kernel = true;
-  const Engine flat(dist, cfg);
-  cfg.flat_kernel = false;
-  const Engine loop(dist, cfg);
+  const Engine flat = make_engine(true);
+  const Engine loop = make_engine(false);
 
+  // Ineligible: Lazy Checkpointing's intervals are not periodic.
   const PolicyCase c = make_policy(PolicyKind::kShiraz, hours(5.0));
-  expect_identical(flat.run_many(c.jobs, *c.scheduler, kReps, kSeed, opts),
-                   loop.run_many(c.jobs, *c.scheduler, kReps, kSeed, opts));
+  const std::vector<SimJob> lazy_jobs{
+      SimJob::lazy("lazy", kDeltaLw, hours(5.0), 0.6),
+      SimJob::lazy("lazy_hw", kDeltaHw, hours(5.0), 0.6)};
+  expect_identical(flat.run_many(lazy_jobs, *c.scheduler, kReps, kSeed, opts),
+                   loop.run_many(lazy_jobs, *c.scheduler, kReps, kSeed, opts));
 
   // Wrong app count: the fallback preserves the policy's own error.
   std::vector<SimJob> three{SimJob::at_oci("a", 12.0, hours(5.0)),
                             SimJob::at_oci("b", 120.0, hours(5.0)),
                             SimJob::at_oci("c", 1200.0, hours(5.0))};
-  const Engine eligible_engine = make_engine(true);
-  EXPECT_THROW(
-      eligible_engine.replay(three, *c.scheduler, traces.trace(0)),
-      InvalidArgument);
+  EXPECT_THROW(flat.replay(three, *c.scheduler, traces.trace(0)), InvalidArgument);
 }
 
 TEST(FlatKernel, PredictiveReplayFallsBackAndMatches) {

@@ -4,6 +4,7 @@
 
 #include "common/error.h"
 #include "reliability/weibull.h"
+#include "sim/trace.h"
 
 namespace shiraz::sim {
 namespace {
@@ -44,21 +45,15 @@ TEST(Optimizer, SweepCoversRequestedRange) {
   EXPECT_EQ(sol.sweep.front().k, 5);
   EXPECT_EQ(sol.sweep.back().k, 9);
 
-  // An aperiodic (lazy) pair takes the per-candidate route: every swept k is
-  // exactly the simulate_switch_point candidate for that k.
+  // The sweep needs periodic schedules: an aperiodic (lazy) pair is rejected,
+  // by the search and by the sweep itself.
   const SimJob lazy_lw = SimJob::lazy("lw", hours(0.02), hours(5.0), 0.6);
   const SimJob lazy_hw = SimJob::lazy("hw", hours(0.5), hours(5.0), 0.6);
-  const SimSwitchSolution lazy =
-      find_fair_k_by_simulation(engine, lazy_lw, lazy_hw, 5, 9, 4, 3);
-  ASSERT_EQ(lazy.sweep.size(), 5u);
-  for (const SimSwitchCandidate& c : lazy.sweep) {
-    const SimSwitchCandidate ref =
-        simulate_switch_point(engine, lazy_lw, lazy_hw, c.k, 4, 3);
-    EXPECT_EQ(c.k, ref.k);
-    EXPECT_EQ(c.delta_lw, ref.delta_lw) << "k = " << c.k;
-    EXPECT_EQ(c.delta_hw, ref.delta_hw) << "k = " << c.k;
-    EXPECT_EQ(c.delta_total, ref.delta_total) << "k = " << c.k;
-  }
+  EXPECT_THROW(find_fair_k_by_simulation(engine, lazy_lw, lazy_hw, 5, 9, 4, 3),
+               InvalidArgument);
+  const TraceStore traces(engine, 3);
+  EXPECT_THROW(replay_pair_sweep(engine, lazy_lw, lazy_hw, 5, 9, 4, traces),
+               InvalidArgument);
 }
 
 TEST(Optimizer, DeltaLwIncreasesAcrossSweep) {

@@ -334,39 +334,19 @@ TEST(TraceReplay, PairSweepIsWorkerCountInvariant) {
   }
 }
 
-TEST(TraceReplay, PairSweepRequiresFreeRestartsAndSwitches) {
-  EngineConfig cfg;
-  cfg.t_total = hours(200.0);
-  cfg.switch_cost = 30.0;
-  const Engine engine(
-      reliability::Weibull::from_mtbf(0.6, hours(kMtbfHours)), cfg);
-  const Seconds mtbf = hours(kMtbfHours);
-  const SimJob lw = SimJob::at_oci("lw", 18.0, mtbf);
-  const SimJob hw = SimJob::at_oci("hw", 1800.0, mtbf);
-  const TraceStore traces(engine, kSeed);
-  EXPECT_THROW(replay_pair_sweep(engine, lw, hw, 1, 4, kReps, traces),
-               InvalidArgument);
-
-  // The sweep also needs periodic schedules: a lazy (aperiodic) pair is
-  // rejected even on a free-restart, free-switch engine.
-  const Engine free_engine = make_engine();
-  const TraceStore free_traces(free_engine, kSeed);
-  const SimJob lazy_lw = SimJob::lazy("lw", 18.0, mtbf, 0.6);
-  const SimJob lazy_hw = SimJob::lazy("hw", 1800.0, mtbf, 0.6);
-  EXPECT_THROW(
-      replay_pair_sweep(free_engine, lazy_lw, lazy_hw, 1, 4, kReps, free_traces),
-      InvalidArgument);
-}
-
 TEST(TraceReplay, OptimizerFindsSameSolutionWithCostlySwitches) {
-  // With a non-zero switch cost the optimizer falls back to per-candidate
-  // replayed campaigns; the result must still be worker-count invariant and
-  // bit-identical to the free-switch fast path's contract on its own terms.
+  // With restart and switch costs the optimizer still takes the one-pass
+  // sweep: the result must be worker-count invariant, and every candidate
+  // must equal its own per-candidate campaign pair on the event loop.
   EngineConfig cfg;
   cfg.t_total = hours(200.0);
+  cfg.restart_cost = 60.0;
   cfg.switch_cost = 30.0;
-  const Engine engine(
-      reliability::Weibull::from_mtbf(0.6, hours(kMtbfHours)), cfg);
+  const reliability::Weibull dist =
+      reliability::Weibull::from_mtbf(0.6, hours(kMtbfHours));
+  const Engine engine(dist, cfg);
+  cfg.flat_kernel = false;
+  const Engine loop(dist, cfg);
   const Seconds mtbf = hours(kMtbfHours);
   const SimJob lw = SimJob::at_oci("lw", 18.0, mtbf);
   const SimJob hw = SimJob::at_oci("hw", 1800.0, mtbf);
@@ -381,6 +361,11 @@ TEST(TraceReplay, OptimizerFindsSameSolutionWithCostlySwitches) {
   for (std::size_t i = 0; i < serial.sweep.size(); ++i) {
     EXPECT_EQ(serial.sweep[i].delta_lw, parallel.sweep[i].delta_lw);
     EXPECT_EQ(serial.sweep[i].delta_hw, parallel.sweep[i].delta_hw);
+    const SimSwitchCandidate ref =
+        simulate_switch_point(loop, lw, hw, serial.sweep[i].k, 6, kSeed);
+    EXPECT_EQ(serial.sweep[i].delta_lw, ref.delta_lw) << "k = " << ref.k;
+    EXPECT_EQ(serial.sweep[i].delta_hw, ref.delta_hw) << "k = " << ref.k;
+    EXPECT_EQ(serial.sweep[i].delta_total, ref.delta_total) << "k = " << ref.k;
   }
 }
 
