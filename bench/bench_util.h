@@ -9,6 +9,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <functional>
+#include <initializer_list>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
@@ -17,6 +20,7 @@
 
 #include "common/cli.h"
 #include "common/json.h"
+#include "common/statistics.h"
 #include "common/table.h"
 #include "common/thread_pool.h"
 #include "sim/engine.h"
@@ -204,6 +208,82 @@ class BenchCampaigns {
   std::size_t workers_;
   std::optional<common::ThreadPool> pool_;
 };
+
+/// Shortest time a mode runs in one timing window of a speed gate, so even
+/// a few-millisecond call is timed over a span that outlasts scheduler noise.
+constexpr double kMinWindowSeconds = 0.1;
+
+/// Wall-clock timing of one bench mode over repeated windows (see
+/// timing_window). The gates compare the median call: a call slowed by
+/// another process moves a mean, not a median. The spread shows how far the
+/// windows' mean calls disagree.
+class WindowTimer {
+ public:
+  /// Records one call of the current window.
+  void add_call(double secs) {
+    calls_.push_back(secs);
+    window_secs_ += secs;
+    ++window_calls_;
+  }
+
+  /// Closes the current window.
+  void end_window() {
+    fewest_calls_ = std::min(fewest_calls_, window_calls_);
+    shortest_window_ = std::min(shortest_window_, window_secs_);
+    window_means_.push_back(window_secs_ / static_cast<double>(window_calls_));
+    window_secs_ = 0.0;
+    window_calls_ = 0;
+  }
+
+  /// Median seconds per call over every window.
+  double secs() const { return percentile(calls_, 0.5); }
+  /// (max - min) / median of the windows' mean call times.
+  double spread() const {
+    return (*std::max_element(window_means_.begin(), window_means_.end()) -
+            *std::min_element(window_means_.begin(), window_means_.end())) /
+           percentile(window_means_, 0.5);
+  }
+  /// Fewest calls in any window.
+  std::size_t fewest_calls() const { return fewest_calls_; }
+  /// Shortest time the mode ran in any window, in seconds.
+  double shortest_window() const { return shortest_window_; }
+
+ private:
+  std::vector<double> calls_;
+  std::vector<double> window_means_;
+  double window_secs_ = 0.0;
+  std::size_t window_calls_ = 0;
+  std::size_t fewest_calls_ = std::numeric_limits<std::size_t>::max();
+  double shortest_window_ = std::numeric_limits<double>::infinity();
+};
+
+/// One mode of a timing window: the call to repeat and where its time goes.
+struct TimedMode {
+  WindowTimer& timer;
+  std::function<void()> call;
+};
+
+/// Runs one timing window: rounds call every mode once, in order, until each
+/// mode has run for at least kMinWindowSeconds. Modes that a gate compares
+/// with each other belong in one window: alternating call by call puts them
+/// under the same machine load, so their ratio does not depend on which of
+/// them ran when the load changed.
+inline void timing_window(std::initializer_list<TimedMode> modes) {
+  std::vector<double> secs(modes.size(), 0.0);
+  while (*std::min_element(secs.begin(), secs.end()) < kMinWindowSeconds) {
+    std::size_t i = 0;
+    for (const TimedMode& m : modes) {
+      const auto t0 = std::chrono::steady_clock::now();
+      m.call();
+      const double call_secs =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
+              .count();
+      m.timer.add_call(call_secs);
+      secs[i++] += call_secs;
+    }
+  }
+  for (const TimedMode& m : modes) m.timer.end_window();
+}
 
 /// "123.4 +- 5.6" cell for a mean and its 95% CI half-width (ASCII so the
 /// byte-width table alignment stays exact).

@@ -25,10 +25,12 @@
 // perform). `--json=FILE` dumps the numbers for CI trend tracking.
 //
 // Each mode is timed over `--repeat` windows after one warm-up sweep. A
-// window runs whole sweeps back to back until it has lasted at least
-// kMinWindowSeconds, so even the few-millisecond kernel sweep is timed over
-// a span that outlasts scheduler noise; the reported time is the median
-// per-sweep time over the windows, printed with its spread.
+// window (bench::timing_window) runs whole sweeps until each of its modes
+// has run for at least bench::kMinWindowSeconds, so even the
+// few-millisecond kernel sweep is timed over a span that outlasts scheduler
+// noise; the sampled and replayed modes alternate sweep by sweep in one
+// window. The reported time is the median sweep over all windows, printed
+// with the spread of the windows' mean sweeps.
 //
 // `--check` turns the report into a gate: the exit code is nonzero if any
 // mode's output diverges bit-wise from the sampled mode OR any committed
@@ -38,13 +40,10 @@
 // every push, so a change that slows the kernel below its floor fails the
 // build exactly like a correctness bug.
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 #include "bench_util.h"
-#include "common/statistics.h"
 #include "reliability/weibull.h"
 #include "sim/optimizer.h"
 #include "sim/trace.h"
@@ -64,10 +63,6 @@ namespace {
 constexpr double kFloorReplayVsSampled = 1.05;
 constexpr double kFloorKernelVsSampled = 15.0;
 
-// Shortest timed window: each window repeats its mode's sweep until it has
-// lasted at least this long.
-constexpr double kMinWindowSeconds = 0.1;
-
 struct SweepUsefulByK {
   double baseline_lw = 0.0;
   double baseline_hw = 0.0;
@@ -76,18 +71,9 @@ struct SweepUsefulByK {
 
 struct ModeResult {
   const char* name;
-  std::size_t sweeps_per_window = 0;  // fewest sweeps in a timed window
-  double window_secs = 0.0;           // shortest timed window
-  double secs = 0.0;                  // median per-sweep time over the windows
-  double spread = 0.0;                // (max - min) / median of the per-sweep times
+  bench::WindowTimer timing;  // per-sweep times over the --repeat windows
   SweepUsefulByK useful;
 };
-
-double now_secs() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 bool identical(const SweepUsefulByK& a, const SweepUsefulByK& b) {
   if (a.baseline_lw != b.baseline_lw || a.baseline_hw != b.baseline_hw) {
@@ -127,8 +113,8 @@ int main(int argc, char** argv) {
           " h, campaign 1000 h, delta 18 s / 1800 s, baseline + k in [" +
           std::to_string(k_lo) + ", " + std::to_string(k_hi) + "], " +
           run.describe() +
-          ", median of " + std::to_string(repeat) + " windows of >= " +
-          fmt(kMinWindowSeconds, 1) + " s" + (check ? ", --check" : ""));
+          ", median sweep of " + std::to_string(repeat) + " windows of >= " +
+          fmt(bench::kMinWindowSeconds, 1) + " s" + (check ? ", --check" : ""));
 
   const Seconds mtbf = hours(mtbf_hours);
   // Two engines over the same failure process: `loop` pins the historical
@@ -194,36 +180,22 @@ int main(int argc, char** argv) {
     return u;
   };
 
-  std::vector<ModeResult> modes;
-  auto time_mode = [&](const char* name, auto&& fn) {
-    ModeResult m{name};
-    m.useful = fn();  // warm-up; every sweep produces the same bits
-    std::vector<double> per_sweep;
-    m.sweeps_per_window = std::numeric_limits<std::size_t>::max();
-    m.window_secs = std::numeric_limits<double>::infinity();
-    for (std::size_t t = 0; t < repeat; ++t) {
-      // One window: whole sweeps back to back until kMinWindowSeconds pass.
-      std::size_t sweeps = 0;
-      const double t0 = now_secs();
-      double secs = 0.0;
-      do {
-        m.useful = fn();
-        ++sweeps;
-        secs = now_secs() - t0;
-      } while (secs < kMinWindowSeconds);
-      m.sweeps_per_window = std::min(m.sweeps_per_window, sweeps);
-      m.window_secs = std::min(m.window_secs, secs);
-      per_sweep.push_back(secs / static_cast<double>(sweeps));
-    }
-    m.secs = percentile(per_sweep, 0.5);
-    m.spread = (*std::max_element(per_sweep.begin(), per_sweep.end()) -
-                *std::min_element(per_sweep.begin(), per_sweep.end())) /
-               m.secs;
-    modes.push_back(std::move(m));
-  };
-  time_mode("sampled", run_sampled);
-  time_mode("replayed", run_replayed);
-  time_mode("kernel", run_kernel);
+  std::vector<ModeResult> modes{{"sampled"}, {"replayed"}, {"kernel"}};
+  ModeResult& sampled = modes[0];
+  ModeResult& replayed = modes[1];
+  ModeResult& kernel = modes[2];
+  // Warm-up; every sweep produces the same bits.
+  sampled.useful = run_sampled();
+  replayed.useful = run_replayed();
+  kernel.useful = run_kernel();
+  for (std::size_t t = 0; t < repeat; ++t) {
+    // Sampled and replayed sweeps take about as long as each other, so they
+    // alternate in one window; the kernel sweep, ~25x shorter, gets its own.
+    bench::timing_window(
+        {{sampled.timing, [&] { sampled.useful = run_sampled(); }},
+         {replayed.timing, [&] { replayed.useful = run_replayed(); }}});
+    bench::timing_window({{kernel.timing, [&] { kernel.useful = run_kernel(); }}});
+  }
 
   // Every mode must produce the same bits — replay and the kernel are
   // optimizations, never approximations.
@@ -240,17 +212,20 @@ int main(int argc, char** argv) {
       static_cast<double>(gaps_per_rep_total) * static_cast<double>(n_k + 1);
   Table table({"mode", "time (s)", "spread", "sweeps/window", "window (s)",
                "campaigns/s", "eff. gaps/s", "speedup"});
+  const double sampled_secs = sampled.timing.secs();
   for (const ModeResult& m : modes) {
-    table.add_row({m.name, fmt(m.secs, 4), fmt(100.0 * m.spread, 1) + "%",
-                   std::to_string(m.sweeps_per_window), fmt(m.window_secs, 3),
-                   fmt(static_cast<double>(campaigns_per_sweep) / m.secs, 0),
-                   fmt(gaps_per_sweep / m.secs, 0),
-                   fmt(modes[0].secs / m.secs, 2) + "x"});
+    const double secs = m.timing.secs();
+    table.add_row({m.name, fmt(secs, 4), fmt(100.0 * m.timing.spread(), 1) + "%",
+                   std::to_string(m.timing.fewest_calls()),
+                   fmt(m.timing.shortest_window(), 3),
+                   fmt(static_cast<double>(campaigns_per_sweep) / secs, 0),
+                   fmt(gaps_per_sweep / secs, 0),
+                   fmt(sampled_secs / secs, 2) + "x"});
   }
   bench::print_table(table, flags);
 
-  const double speedup_replay = modes[0].secs / modes[1].secs;
-  const double speedup_kernel = modes[0].secs / modes[2].secs;
+  const double speedup_replay = sampled_secs / replayed.timing.secs();
+  const double speedup_kernel = sampled_secs / kernel.timing.secs();
   const double speedup_store = std::max(speedup_replay, speedup_kernel);
   std::printf("\n%zu campaigns (%zu policies x %zu reps), %zu gaps per "
               "repetition set; bit-identity across modes: %s.\n",
@@ -308,12 +283,14 @@ int main(int argc, char** argv) {
     for (const ModeResult& m : modes) {
       w.begin_object();
       w.kv("name", m.name);
-      w.kv("seconds", m.secs);
-      w.kv("spread", m.spread);
-      w.kv("sweeps_per_window", static_cast<std::uint64_t>(m.sweeps_per_window));
-      w.kv("window_seconds", m.window_secs);
-      w.kv("campaigns_per_sec", static_cast<double>(campaigns_per_sweep) / m.secs);
-      w.kv("gaps_per_sec", gaps_per_sweep / m.secs);
+      const double secs = m.timing.secs();
+      w.kv("seconds", secs);
+      w.kv("spread", m.timing.spread());
+      w.kv("sweeps_per_window",
+           static_cast<std::uint64_t>(m.timing.fewest_calls()));
+      w.kv("window_seconds", m.timing.shortest_window());
+      w.kv("campaigns_per_sec", static_cast<double>(campaigns_per_sweep) / secs);
+      w.kv("gaps_per_sec", gaps_per_sweep / secs);
       w.end_object();
     }
     w.end_array();

@@ -6,12 +6,16 @@
 // [20, 32]) run twice per timing round over the same sim::TraceStore:
 //
 //   unarmed  EngineConfig::metrics == nullptr — the historical path
-//   armed    a fresh registry wired through CampaignOptions::metrics and
-//            TraceStore::set_metrics, counting every repetition
+//   armed    a fresh registry per sweep, wired through
+//            CampaignOptions::metrics, counting every repetition
 //
-// Rounds interleave the modes (unarmed, armed, unarmed, armed, ...) and the
-// reported time is the best of `--repeat` rounds, so one scheduling hiccup
-// cannot fail the build. Three checks make this a gate rather than a report:
+// After one warm-up sweep (which also materializes the store's traces), the
+// modes are timed over `--repeat` windows. A window (bench::timing_window)
+// alternates the modes sweep by sweep (unarmed, armed, unarmed, armed, ...)
+// until each has run for at least bench::kMinWindowSeconds, so both see the
+// same machine load; the reported time is the median sweep over all
+// windows, so a sweep slowed by another process cannot fail the build.
+// Three checks make this a gate rather than a report:
 //
 //   byte identity   every armed campaign's useful-work totals must equal the
 //                   unarmed run's bit for bit (metrics are pure observers)
@@ -19,14 +23,11 @@
 //                   repetition/dispatch/gap counts — in particular, arming
 //                   metrics must NOT kick campaigns off the flat kernel
 //   speed floor     with --check, armed throughput >= 0.97x unarmed
-//                   (campaigns/s, best-of timings)
+//                   (campaigns/s, median sweep times)
 //
 // `--json=FILE` emits the shared shiraz-bench-v1 document (BENCH_metrics.json
 // in CI); the exit code is nonzero on any identity, count, or floor failure.
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
-#include <limits>
 #include <vector>
 
 #include "bench_util.h"
@@ -49,12 +50,6 @@ struct SweepUseful {
   double lw = 0.0;
   double hw = 0.0;
 };
-
-double now_secs() {
-  return std::chrono::duration<double>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 std::uint64_t counter_value(const obs::MetricsSnapshot& snap,
                             const std::string& name) {
@@ -88,7 +83,8 @@ int main(int argc, char** argv) {
           " h, campaign 1000 h, delta 18 s / 1800 s, baseline + k in [" +
           std::to_string(k_lo) + ", " + std::to_string(k_hi) + "], " +
           run.describe() +
-          (check ? ", --check (best of " + std::to_string(repeat) + ")" : ""));
+          ", median sweep of " + std::to_string(repeat) + " windows of >= " +
+          fmt(bench::kMinWindowSeconds, 1) + " s" + (check ? ", --check" : ""));
 
   const Seconds mtbf = hours(mtbf_hours);
   sim::EngineConfig ecfg;
@@ -120,24 +116,24 @@ int main(int argc, char** argv) {
     return useful;
   };
 
-  double unarmed_secs = std::numeric_limits<double>::infinity();
-  double armed_secs = std::numeric_limits<double>::infinity();
-  std::vector<SweepUseful> unarmed_useful;
+  std::vector<SweepUseful> unarmed_useful = run_sweep(nullptr);  // warm-up
   std::vector<SweepUseful> armed_useful;
   obs::MetricsSnapshot last_armed_snap;
+  bench::WindowTimer unarmed_timing;
+  bench::WindowTimer armed_timing;
   for (std::size_t round = 0; round < repeat; ++round) {
-    double t0 = now_secs();
-    unarmed_useful = run_sweep(nullptr);
-    unarmed_secs = std::min(unarmed_secs, now_secs() - t0);
-
-    // Fresh registry per round so the exact-count check below sees one
-    // round's increments, not an accumulation across rounds.
-    obs::MetricsRegistry registry;
-    t0 = now_secs();
-    armed_useful = run_sweep(&registry);
-    armed_secs = std::min(armed_secs, now_secs() - t0);
-    last_armed_snap = registry.snapshot();
+    bench::timing_window(
+        {{unarmed_timing, [&] { unarmed_useful = run_sweep(nullptr); }},
+         {armed_timing, [&] {
+            // Fresh registry per sweep so the exact-count check below sees
+            // one sweep's increments, not an accumulation across sweeps.
+            obs::MetricsRegistry registry;
+            armed_useful = run_sweep(&registry);
+            last_armed_snap = registry.snapshot();
+          }}});
   }
+  const double unarmed_secs = unarmed_timing.secs();
+  const double armed_secs = armed_timing.secs();
 
   // Gate 1 — byte identity: armed campaigns are pure observations.
   bool bit_identical = unarmed_useful.size() == armed_useful.size();
@@ -149,7 +145,7 @@ int main(int argc, char** argv) {
     std::printf("BIT-IDENTITY FAILURE: armed sweep diverges from unarmed\n");
   }
 
-  // Gate 2 — exact counts: one round armed exactly `campaigns` repetitions,
+  // Gate 2 — exact counts: one sweep armed exactly `campaigns` repetitions,
   // every one of them on the flat kernel (arming metrics must not change
   // the dispatch decision), drawing failures+1 gaps per repetition.
   const std::uint64_t reps_total =
@@ -185,9 +181,15 @@ int main(int argc, char** argv) {
   const double unarmed_rate = static_cast<double>(campaigns) / unarmed_secs;
   const double armed_rate = static_cast<double>(campaigns) / armed_secs;
   const double ratio = armed_rate / unarmed_rate;
-  Table table({"mode", "time (s)", "campaigns/s", "vs unarmed"});
-  table.add_row({"unarmed", fmt(unarmed_secs, 3), fmt(unarmed_rate, 0), "1.00x"});
-  table.add_row({"armed", fmt(armed_secs, 3), fmt(armed_rate, 0),
+  Table table({"mode", "time (s)", "spread", "sweeps/window", "campaigns/s",
+               "vs unarmed"});
+  table.add_row({"unarmed", fmt(unarmed_secs, 4),
+                 fmt(100.0 * unarmed_timing.spread(), 1) + "%",
+                 std::to_string(unarmed_timing.fewest_calls()),
+                 fmt(unarmed_rate, 0), "1.00x"});
+  table.add_row({"armed", fmt(armed_secs, 4),
+                 fmt(100.0 * armed_timing.spread(), 1) + "%",
+                 std::to_string(armed_timing.fewest_calls()), fmt(armed_rate, 0),
                  fmt(ratio, 3) + "x"});
   bench::print_table(table, flags);
 

@@ -24,31 +24,6 @@ IntervalSchedulePtr EquidistantSchedule::clone() const {
   return std::make_unique<EquidistantSchedule>(*this);
 }
 
-StretchedSchedule::StretchedSchedule(Seconds base_interval, unsigned factor)
-    : base_interval_(base_interval), factor_(factor) {
-  SHIRAZ_REQUIRE(base_interval > 0.0, "interval must be positive");
-  SHIRAZ_REQUIRE(factor >= 1, "stretch factor must be >= 1");
-}
-
-Seconds StretchedSchedule::next_interval(Seconds) const {
-  return base_interval_ * static_cast<double>(factor_);
-}
-
-std::optional<Seconds> StretchedSchedule::period() const {
-  // The identical product next_interval computes, so hoisting is bit-exact.
-  return base_interval_ * static_cast<double>(factor_);
-}
-
-std::string StretchedSchedule::name() const {
-  std::ostringstream os;
-  os << "Stretched(" << base_interval_ << "s x" << factor_ << ")";
-  return os.str();
-}
-
-IntervalSchedulePtr StretchedSchedule::clone() const {
-  return std::make_unique<StretchedSchedule>(*this);
-}
-
 LazySchedule::LazySchedule(Seconds delta, Seconds mtbf, double weibull_shape)
     : delta_(delta),
       scale_(mtbf / mathx::gamma_fn(1.0 + 1.0 / weibull_shape)),

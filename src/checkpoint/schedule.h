@@ -3,9 +3,9 @@
 // A schedule answers one question for the simulator: "given how long this
 // application has been running since the last failure/restart, how long is the
 // next compute interval before it checkpoints?" Equidistant schedules cover
-// the baseline and Shiraz; a stretched schedule covers Shiraz+; the Lazy
-// schedule implements the Tiwari et al. (DSN'14) comparator discussed in the
-// paper's related work.
+// the baseline, Shiraz and Shiraz+ (whose heavy-weight interval is the OCI
+// times an integer stretch, paper Fig. 8); the Lazy schedule implements the
+// Tiwari et al. (DSN'14) comparator discussed in the paper's related work.
 #pragma once
 
 #include <memory>
@@ -52,23 +52,6 @@ class EquidistantSchedule final : public IntervalSchedule {
 
  private:
   Seconds interval_;
-};
-
-/// Equidistant intervals stretched by an integer factor — Shiraz+'s
-/// heavy-weight application schedule (paper Fig. 8).
-class StretchedSchedule final : public IntervalSchedule {
- public:
-  StretchedSchedule(Seconds base_interval, unsigned factor);
-
-  unsigned factor() const { return factor_; }
-  Seconds next_interval(Seconds) const override;
-  std::optional<Seconds> period() const override;
-  std::string name() const override;
-  IntervalSchedulePtr clone() const override;
-
- private:
-  Seconds base_interval_;
-  unsigned factor_;
 };
 
 /// Lazy checkpointing (Tiwari, Gupta, Vazhkudai — DSN'14): the interval grows

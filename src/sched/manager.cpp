@@ -3,17 +3,12 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <map>
-#include <mutex>
 #include <numeric>
 #include <optional>
 #include <utility>
 
 #include "common/error.h"
 #include "obs/metrics.h"
-#include "sim/engine.h"
-#include "sim/job.h"
-#include "sim/optimizer.h"
 
 namespace shiraz::sched {
 
@@ -26,8 +21,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 struct ManagerCounters {
   obs::Counter* submitted = nullptr;
   obs::Counter* completed = nullptr;
-  obs::Counter* solve_fixed = nullptr;
-  obs::Counter* solve_sim = nullptr;
   obs::Counter* solve_analytical = nullptr;
 
   explicit ManagerCounters(obs::MetricsRegistry* registry) {
@@ -36,25 +29,12 @@ struct ManagerCounters {
                                    "jobs submitted across campaigns");
     completed = &registry->counter("shiraz_sched_jobs_completed_total",
                                    "jobs completed across campaigns");
-    solve_fixed = &registry->counter("shiraz_sched_solve_fixed_total",
-                                     "pair solves short-circuited by fixed_pair_k");
-    solve_sim = &registry->counter("shiraz_sched_solve_sim_total",
-                                   "pair solves routed through simulation");
     solve_analytical = &registry->counter(
         "shiraz_sched_solve_analytical_total",
         "pair solves routed through the analytical cache");
   }
 };
 }
-
-/// Memo for sim-backed switch-point solves: one entry per distinct
-/// (delta_LW, delta_HW) signature (the other solve inputs are fixed by the
-/// manager's config). The solve is deterministic, so a racing duplicate
-/// compute lands on identical bits and first-insert-wins is safe.
-struct WorkloadManager::SimSolveMemo {
-  std::mutex mu;
-  std::map<std::pair<Seconds, Seconds>, std::optional<int>> k_by_pair;
-};
 
 WorkloadManager::WorkloadManager(const reliability::Distribution& failure_dist,
                                  const ManagerConfig& config)
@@ -65,44 +45,12 @@ WorkloadManager::WorkloadManager(const reliability::Distribution& failure_dist,
                                  const ManagerConfig& config,
                                  std::shared_ptr<const core::SolverCache> cache)
     : failure_dist_(failure_dist.clone()), config_(config),
-      cache_(std::move(cache)),
-      sim_memo_(std::make_shared<SimSolveMemo>()) {
+      cache_(std::move(cache)) {
   SHIRAZ_REQUIRE(config.horizon > 0.0, "horizon must be positive");
   SHIRAZ_REQUIRE(config.nominal_mtbf > 0.0, "nominal MTBF must be positive");
   SHIRAZ_REQUIRE(config.hw_stretch >= 1, "stretch must be >= 1");
   SHIRAZ_REQUIRE(config.restart_cost >= 0.0, "restart cost must be >= 0");
-  SHIRAZ_REQUIRE(config.fixed_pair_k >= 0, "fixed pair k must be >= 0");
-  SHIRAZ_REQUIRE(config.sim_solve_max_k >= 1, "sim solve max k must be >= 1");
   SHIRAZ_REQUIRE(cache_ != nullptr, "solver cache must not be null");
-}
-
-std::optional<int> WorkloadManager::sim_solve_k(Seconds delta_lw,
-                                                Seconds delta_hw) const {
-  const std::pair<Seconds, Seconds> sig(delta_lw, delta_hw);
-  {
-    const std::lock_guard<std::mutex> lock(sim_memo_->mu);
-    const auto it = sim_memo_->k_by_pair.find(sig);
-    if (it != sim_memo_->k_by_pair.end()) return it->second;
-  }
-  // The same model signature the analytical path solves, evaluated by
-  // simulation against the real failure distribution instead of the nominal
-  // Weibull model. The solve's failure streams come from sim_solve_seed —
-  // disjoint from the campaign's own Rng — and the flat replay kernel's
-  // pair sweep (periodic OCI schedules) batches the whole k scan, so the
-  // solve costs milliseconds, not campaigns.
-  sim::EngineConfig ecfg;
-  ecfg.t_total = config_.horizon;
-  const sim::Engine engine(*failure_dist_, ecfg);
-  const sim::SimJob lw = sim::SimJob::at_oci("lw", delta_lw, config_.nominal_mtbf,
-                                             1, config_.oci_formula);
-  const sim::SimJob hw = sim::SimJob::at_oci("hw", delta_hw, config_.nominal_mtbf,
-                                             config_.hw_stretch,
-                                             config_.oci_formula);
-  const sim::SimSwitchSolution sol = sim::find_fair_k_by_simulation(
-      engine, lw, hw, 1, config_.sim_solve_max_k, config_.sim_solve_reps,
-      config_.sim_solve_seed, /*workers=*/1);
-  const std::lock_guard<std::mutex> lock(sim_memo_->mu);
-  return sim_memo_->k_by_pair.try_emplace(sig, sol.k).first->second;
 }
 
 core::SolverCacheKey WorkloadManager::cache_key(Seconds delta_lw,
@@ -188,20 +136,8 @@ CampaignStats WorkloadManager::run(const std::vector<BatchJobSpec>& jobs,
       pair_k = std::nullopt;
       return;
     }
-    if (config_.fixed_pair_k > 0) {
-      pair_k = config_.fixed_pair_k;
-      if (counters.solve_fixed != nullptr) counters.solve_fixed->add(1);
-      return;
-    }
     const std::size_t lw = light_of_pair();
     const std::size_t hw = heavy_of_pair();
-    if (config_.sim_solve_reps > 0) {
-      // Simulation-backed solve on the flat replay kernel, memoized per
-      // signature (see sim_solve_k).
-      pair_k = sim_solve_k(jobs[lw].checkpoint_cost, jobs[hw].checkpoint_cost);
-      if (counters.solve_sim != nullptr) counters.solve_sim->add(1);
-      return;
-    }
     // The shared memo table: every distinct signature across this run, all
     // repetitions, and any co-owner of the cache is solved exactly once.
     pair_k = cache_

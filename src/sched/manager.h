@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "checkpoint/oci.h"
@@ -83,32 +82,11 @@ struct ManagerConfig {
   Seconds restart_cost = 0.0;
   /// Slot-fill discipline (the pairing strategy, see SlotFill).
   SlotFill slot_fill = SlotFill::kFcfs;
-  /// Testing/ablation hook: > 0 forces every Shiraz pair to this switch
-  /// point instead of solving the model. 0 (default) solves.
-  int fixed_pair_k = 0;
-  /// > 0 routes switch-point solves through Monte-Carlo simulation instead
-  /// of the analytical model: each distinct (delta_LW, delta_HW) pair runs
-  /// sim::find_fair_k_by_simulation with this many repetitions against the
-  /// manager's *real* failure distribution — the flat replay kernel
-  /// (sim/kernel.h) makes this cheap enough for in-campaign use. Solutions
-  /// are memoized per signature (thread-safe, shared across run() calls and
-  /// repetitions) and the solve draws from its own seed, so arming it never
-  /// perturbs the campaign's failure streams; results stay bit-identical
-  /// for every CampaignRunOptions::workers value. Precedence:
-  /// fixed_pair_k > sim solve > analytical cache.
-  std::size_t sim_solve_reps = 0;
-  /// Failure-stream seed for sim-backed solves.
-  std::uint64_t sim_solve_seed = 20180909;
-  /// Upper bound of the sim-backed k scan (the analytical solver's default
-  /// bound is far larger, but each sim candidate costs real replays; the
-  /// paper's fair points sit well inside 64 at these signatures).
-  int sim_solve_max_k = 64;
   /// When non-null, campaigns count into this registry (obs/metrics.h):
-  /// jobs submitted/completed per run and the solve route each pair-change
-  /// took (fixed / sim-backed / analytical cache). Pure observation — no
-  /// campaign decision reads a metric — so arming it never changes a
-  /// reported number; counters are commutative u64 sums, so totals are
-  /// CampaignRunOptions::workers-invariant.
+  /// jobs submitted/completed per run and the analytical solve each
+  /// pair-change took. Pure observation — no campaign decision reads a
+  /// metric — so arming it never changes a reported number; counters are
+  /// commutative u64 sums, so totals are CampaignRunOptions::workers-invariant.
   obs::MetricsRegistry* metrics = nullptr;
 };
 
@@ -167,21 +145,14 @@ class WorkloadManager {
   const ManagerConfig& config() const { return config_; }
 
  private:
-  struct SimSolveMemo;  // mutex + signature map, shared so managers stay copyable
-
   std::vector<CampaignStats> run_reps(const std::vector<BatchJobSpec>& jobs,
                                       Policy policy, std::size_t reps,
                                       std::uint64_t seed,
                                       const CampaignRunOptions& options) const;
 
-  /// Memoized sim-backed switch-point solve (sim_solve_reps > 0); nullopt
-  /// means no beneficial switch point, i.e. alternate at every failure.
-  std::optional<int> sim_solve_k(Seconds delta_lw, Seconds delta_hw) const;
-
   reliability::DistributionPtr failure_dist_;
   ManagerConfig config_;
   std::shared_ptr<const core::SolverCache> cache_;
-  std::shared_ptr<SimSolveMemo> sim_memo_;
 };
 
 }  // namespace shiraz::sched

@@ -1,18 +1,19 @@
 #include "sim/job.h"
 
+#include "common/error.h"
+
 namespace shiraz::sim {
 
 SimJob SimJob::at_oci(std::string name, Seconds delta, Seconds mtbf, unsigned stretch,
                       checkpoint::OciFormula formula) {
+  SHIRAZ_REQUIRE(stretch >= 1, "stretch factor must be >= 1");
   const Seconds oci = checkpoint::optimal_interval(mtbf, delta, formula);
   SimJob job;
   job.name = std::move(name);
   job.delta = delta;
-  if (stretch == 1) {
-    job.schedule = std::make_shared<checkpoint::EquidistantSchedule>(oci);
-  } else {
-    job.schedule = std::make_shared<checkpoint::StretchedSchedule>(oci, stretch);
-  }
+  // Shiraz+'s stretched schedule is still equidistant (paper Fig. 8).
+  job.schedule = std::make_shared<checkpoint::EquidistantSchedule>(
+      oci * static_cast<double>(stretch));
   return job;
 }
 

@@ -4,6 +4,7 @@
 
 #include "checkpoint/oci.h"
 #include "common/error.h"
+#include "sim/job.h"
 
 namespace shiraz::checkpoint {
 namespace {
@@ -27,19 +28,23 @@ TEST(Equidistant, CloneIsIndependentEquivalent) {
 }
 
 TEST(Stretched, MultipliesBaseInterval) {
-  const StretchedSchedule s(600.0, 3);
-  EXPECT_DOUBLE_EQ(s.next_interval(0.0), 1800.0);
-  EXPECT_DOUBLE_EQ(s.next_interval(hours(2.0)), 1800.0);
-  EXPECT_EQ(s.factor(), 3u);
+  const Seconds oci = optimal_interval(hours(5.0), 300.0, OciFormula::kYoung);
+  const sim::SimJob job = sim::SimJob::at_oci("hw", 300.0, hours(5.0), 3);
+  EXPECT_DOUBLE_EQ(job.schedule->next_interval(0.0), 3.0 * oci);
+  EXPECT_DOUBLE_EQ(job.schedule->next_interval(hours(2.0)), 3.0 * oci);
+  ASSERT_TRUE(job.schedule->period().has_value());
+  EXPECT_EQ(*job.schedule->period(), 3.0 * oci);
 }
 
 TEST(Stretched, FactorOneEqualsEquidistant) {
-  const StretchedSchedule s(600.0, 1);
-  EXPECT_DOUBLE_EQ(s.next_interval(hours(1.0)), 600.0);
+  const Seconds oci = optimal_interval(hours(5.0), 300.0, OciFormula::kYoung);
+  const sim::SimJob job = sim::SimJob::at_oci("lw", 300.0, hours(5.0), 1);
+  EXPECT_EQ(job.schedule->next_interval(hours(1.0)), oci);
+  EXPECT_EQ(job.schedule->name(), EquidistantSchedule(oci).name());
 }
 
 TEST(Stretched, RejectsZeroFactor) {
-  EXPECT_THROW(StretchedSchedule(600.0, 0), InvalidArgument);
+  EXPECT_THROW(sim::SimJob::at_oci("hw", 300.0, hours(5.0), 0), InvalidArgument);
 }
 
 TEST(Lazy, IntervalGrowsWithElapsedTime) {

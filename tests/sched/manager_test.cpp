@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -127,8 +128,6 @@ TEST(WorkloadManager, MetricsCountJobsAndSolveRouteWithoutChangingResults) {
   // One pair signature, default config: the analytical SolverCache route,
   // solved exactly once thanks to the memo.
   EXPECT_EQ(registry.counter("shiraz_sched_solve_analytical_total").value(), 1u);
-  EXPECT_EQ(registry.counter("shiraz_sched_solve_fixed_total").value(), 0u);
-  EXPECT_EQ(registry.counter("shiraz_sched_solve_sim_total").value(), 0u);
 }
 
 TEST(WorkloadManager, FailuresCauseRollbacksAndLostWork) {
@@ -404,21 +403,28 @@ TEST(WorkloadManager, PairActivationResetsSwitchWindow) {
   const Seconds d_lw = 100.0;
   const Seconds d_hw = 2500.0;
   const Seconds seg = young_interval(d_lw) + d_lw;
+  const WorkloadManager mgr(calm(), exa_config());
+  // The pair's switch point, exactly as run() solves it.
+  const std::optional<int> solved =
+      mgr.solver_cache()->solve(mgr.cache_key(d_lw, d_hw)).k;
+  ASSERT_TRUE(solved.has_value());
+  const int k = *solved;
+  ASSERT_GE(k, 1);
   // The light job runs alone for three segments; the heavy job arrives mid
-  // third segment and activates at that segment's boundary, 3 * seg.
+  // third segment and activates at that segment's boundary, 3 * seg. The
+  // light job has work left after the k-window, so the window is not cut
+  // short by its completion.
   const std::vector<BatchJobSpec> jobs{
-      {"light", 10.0 * young_interval(d_lw), d_lw, 0.0},
+      {"light", (k + 7.0) * young_interval(d_lw), d_lw, 0.0},
       {"heavy", hours(1.0), d_hw, 2.5 * seg}};
-  ManagerConfig cfg = exa_config();
-  cfg.fixed_pair_k = 3;
-  const WorkloadManager mgr(calm(), cfg);
   Rng rng(1);
   const CampaignStats stats = mgr.run(jobs, Policy::kShirazPairing, rng);
-  // The k-window opens at activation: the light job takes k = 3 *more*
+  // The k-window opens at activation: the light job takes k *more*
   // checkpoints after 3 * seg before the heavy job first computes — the
   // three it took before the pair existed don't count against the window.
   EXPECT_NEAR(stats.job("heavy").start_time, 3.0 * seg, 1e-6);
-  EXPECT_NEAR(stats.job("heavy").completion_time, 6.0 * seg + hours(1.0), 1e-6);
+  EXPECT_NEAR(stats.job("heavy").completion_time, (3.0 + k) * seg + hours(1.0),
+              1e-6);
   EXPECT_DOUBLE_EQ(stats.job("heavy").lost, 0.0);
   EXPECT_EQ(stats.completed_count(), 2u);
 }
@@ -554,56 +560,6 @@ TEST(WorkloadManager, RejectsBadConfigKnobs) {
   ManagerConfig negative_restart;
   negative_restart.restart_cost = -1.0;
   EXPECT_THROW(WorkloadManager(calm(), negative_restart), InvalidArgument);
-  ManagerConfig negative_k;
-  negative_k.fixed_pair_k = -1;
-  EXPECT_THROW(WorkloadManager(calm(), negative_k), InvalidArgument);
-  ManagerConfig zero_sim_max_k;
-  zero_sim_max_k.sim_solve_max_k = 0;
-  EXPECT_THROW(WorkloadManager(calm(), zero_sim_max_k), InvalidArgument);
-}
-
-TEST(WorkloadManager, SimSolveRunsPairsAndStaysWorkerInvariant) {
-  // Sim-backed switch-point solves (flat replay kernel under the hood) must
-  // produce a working pairing campaign whose outputs are bit-identical for
-  // every worker count — the memoized solve is deterministic and draws from
-  // its own seed, never from the campaign's failure stream.
-  ManagerConfig cfg = exa_config();
-  cfg.horizon = hours(2000.0);
-  cfg.sim_solve_reps = 8;
-  const WorkloadManager mgr(exa_failures(), cfg);
-  const std::vector<BatchJobSpec> jobs = mixed_pair(hours(50.0));
-
-  const CampaignStats serial =
-      mgr.run_many(jobs, Policy::kShirazPairing, 4, 77, {.workers = 1});
-  const CampaignStats wide =
-      mgr.run_many(jobs, Policy::kShirazPairing, 4, 77, {.workers = 4});
-  EXPECT_EQ(serial.total_useful(), wide.total_useful());
-  EXPECT_EQ(serial.makespan, wide.makespan);
-  EXPECT_EQ(serial.failures, wide.failures);
-  for (std::size_t i = 0; i < serial.jobs.size(); ++i) {
-    EXPECT_EQ(serial.jobs[i].useful, wide.jobs[i].useful) << "job " << i;
-    EXPECT_EQ(serial.jobs[i].checkpoints, wide.jobs[i].checkpoints);
-  }
-  EXPECT_GT(serial.total_useful(), 0.0);
-  // The analytical cache was bypassed: no signature ever hit it.
-  EXPECT_EQ(mgr.solver_cache()->stats().lookups(), 0u);
-}
-
-TEST(WorkloadManager, FixedPairKTakesPrecedenceOverSimSolve) {
-  ManagerConfig cfg = exa_config();
-  cfg.horizon = hours(2000.0);
-  cfg.sim_solve_reps = 8;
-  cfg.fixed_pair_k = 7;
-  ManagerConfig fixed_only = cfg;
-  fixed_only.sim_solve_reps = 0;
-  const WorkloadManager with_sim(exa_failures(), cfg);
-  const WorkloadManager without_sim(exa_failures(), fixed_only);
-  const std::vector<BatchJobSpec> jobs = mixed_pair(hours(50.0));
-  const CampaignStats a = with_sim.run_many(jobs, Policy::kShirazPairing, 3, 11);
-  const CampaignStats b =
-      without_sim.run_many(jobs, Policy::kShirazPairing, 3, 11);
-  EXPECT_EQ(a.total_useful(), b.total_useful());
-  EXPECT_EQ(a.makespan, b.makespan);
 }
 
 }  // namespace
