@@ -22,7 +22,9 @@
 //
 // Reported: wall seconds, campaigns/s (campaign = one policy x one rep run)
 // and effective gaps/s (failure draws the equivalent sampled campaigns
-// perform). `--json=FILE` dumps the numbers for CI trend tracking.
+// perform). `--json=FILE` dumps the numbers for CI trend tracking, with a
+// `host` record (nproc, compiler, build type, the git sha at configure time)
+// and the process's peak RSS.
 //
 // Each mode is timed over `--repeat` windows after one warm-up sweep. A
 // window (bench::timing_window) runs whole sweeps until each of its modes
@@ -41,6 +43,9 @@
 // build exactly like a correctness bug.
 #include <algorithm>
 #include <cstdio>
+#include <fstream>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_util.h"
@@ -74,6 +79,17 @@ struct ModeResult {
   bench::WindowTimer timing;  // per-sweep times over the --repeat windows
   SweepUsefulByK useful;
 };
+
+/// The process's resident high-water mark (VmHWM), or 0 where
+/// /proc/self/status has none.
+double peak_rss_mb() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmHWM:", 0) == 0) return std::stod(line.substr(6)) / 1024.0;
+  }
+  return 0.0;
+}
 
 bool identical(const SweepUsefulByK& a, const SweepUsefulByK& b) {
   if (a.baseline_lw != b.baseline_lw || a.baseline_hw != b.baseline_hw) {
@@ -304,6 +320,15 @@ int main(int argc, char** argv) {
     w.kv("floor_kernel_vs_sampled", kFloorKernelVsSampled);
     w.kv("pass", bit_identical && floors_ok);
     w.end_object();
+    // Where the numbers came from: they only compare across runs of the
+    // same host record.
+    w.key("host").begin_object();
+    w.kv("nproc", static_cast<std::uint64_t>(std::thread::hardware_concurrency()));
+    w.kv("compiler", SHIRAZ_COMPILER);
+    w.kv("build_type", SHIRAZ_BUILD_TYPE);
+    w.kv("git_sha", SHIRAZ_GIT_SHA);
+    w.end_object();
+    w.kv("peak_rss_mb", peak_rss_mb());
     w.end_object();
 
     const std::string& doc = w.str();

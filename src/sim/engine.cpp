@@ -445,20 +445,50 @@ CampaignSummary Engine::run_campaign(const std::vector<SimJob>& jobs,
   obs::MetricsRegistry* metrics =
       opts.metrics != nullptr ? opts.metrics : config_.metrics;
   const Rng master(seed);
-  std::vector<SimResult> results(reps);
-  // Traced campaigns buffer per repetition: repetitions may run on any worker
-  // in any order, so each records privately and the buffers merge — stamped
-  // with their repetition id — after the runs. The serial path goes through
-  // the same buffers, so the delivered stream is identical for every worker
-  // count.
-  std::vector<obs::EventRecorder> recorders(sink != nullptr ? reps : 0);
-  // Metrics follow the same shape: each repetition notes its dispatch route
-  // privately and the increments apply in repetition order after the runs,
-  // so the registry's mutation order is worker-count-invariant too.
-  std::vector<std::uint8_t> kernel_reps(metrics != nullptr ? reps : 0, 0);
+  const bool parallel = reps > 1 && (opts.workers > 1 || opts.pool != nullptr);
+  std::optional<common::PoolHandle> pool;
+  if (parallel) pool.emplace(opts.pool, std::min(opts.workers, reps));
 
-  auto run_rep = [&](std::size_t r, const Scheduler& policy,
-                     const AlarmSource* source) {
+  // Stateful policies and alarm sources get a private clone per parallel
+  // repetition, made per window on this thread, so no worker ever copies an
+  // instance another worker is mutating (the caller's instances only run
+  // once the last window's clones exist). They run the last repetition:
+  // reset() wipes run state at every run start, so the serial path's
+  // post-campaign observable state is also exactly the last repetition's —
+  // diagnostics like the adaptive scheduler's final k and a predictor's
+  // stats stay worker-count-invariant.
+  std::size_t window_lo = 0;
+  std::vector<std::unique_ptr<Scheduler>> clones;
+  std::vector<std::unique_ptr<AlarmSource>> alarm_clones;
+  auto prepare = [&](std::size_t lo, std::size_t hi) {
+    window_lo = lo;
+    if (!parallel) return;
+    clones.clear();
+    alarm_clones.clear();
+    for (std::size_t r = lo; r < hi; ++r) {
+      const bool last = r + 1 == reps;
+      clones.push_back(last ? nullptr : scheduler.clone());
+      alarm_clones.push_back(last || alarms == nullptr ? nullptr : alarms->clone());
+    }
+  };
+
+  // One repetition's output. Repetitions may run on any worker in any
+  // order, so each records its events privately and they are delivered —
+  // stamped with the repetition id — in repetition order; its dispatch route
+  // is noted into the registry in the same order, so the registry's
+  // mutation order is worker-count-invariant too. The serial path goes
+  // through the same buffers.
+  struct RepRun {
+    SimResult result;
+    obs::EventRecorder events;
+    bool used_kernel = false;
+  };
+  auto produce = [&](std::size_t r) {
+    const std::size_t slot = r - window_lo;
+    const Scheduler& policy =
+        parallel && clones[slot] ? *clones[slot] : scheduler;
+    const AlarmSource* source =
+        parallel && alarm_clones[slot] ? alarm_clones[slot].get() : alarms;
     Rng rng = master.fork(r);
     // Without a store the repetition samples its own trace — exactly what
     // TraceStore::trace(r) would hold — and drops it when the run ends.
@@ -467,65 +497,29 @@ CampaignSummary Engine::run_campaign(const std::vector<SimJob>& jobs,
         traces != nullptr
             ? traces->trace(r)
             : sampled.emplace(FailureTrace::sample(process_, rng, config_.t_total));
-    bool used_kernel = false;
-    results[r] = run_impl(jobs, policy, rng, trace, source,
-                          sink != nullptr ? &recorders[r] : nullptr,
-                          &used_kernel);
-    if (metrics != nullptr) kernel_reps[r] = used_kernel ? 1 : 0;
+    RepRun out;
+    out.result = run_impl(jobs, policy, rng, trace, source,
+                          sink != nullptr ? &out.events : nullptr,
+                          &out.used_kernel);
+    return out;
   };
-  auto merge_events = [&] {
-    if (sink == nullptr) return;
-    for (std::size_t r = 0; r < reps; ++r) {
-      for (obs::Event e : recorders[r].events()) {
+
+  CampaignAccumulator acc;
+  std::optional<SimCounters> counters;
+  if (metrics != nullptr) counters.emplace(*metrics);
+  auto consume = [&](std::size_t r, RepRun&& out) {
+    if (sink != nullptr) {
+      for (obs::Event e : out.events.events()) {
         e.rep = static_cast<std::uint32_t>(r);
         sink->on_event(e);
       }
     }
+    if (counters) counters->note(out.result, out.used_kernel);
+    acc.add(out.result);
   };
-  auto merge_metrics = [&] {
-    if (metrics == nullptr) return;
-    SimCounters counters(*metrics);
-    for (std::size_t r = 0; r < reps; ++r) {
-      counters.note(results[r], kernel_reps[r] != 0);
-    }
-  };
-
-  if ((opts.workers <= 1 && opts.pool == nullptr) || reps == 1) {
-    for (std::size_t r = 0; r < reps; ++r) run_rep(r, scheduler, alarms);
-    merge_events();
-    merge_metrics();
-    return summarize_campaign(results);
-  }
-
-  // Stateful policies and alarm sources get a private clone per repetition
-  // (cloned up front, on this thread, so no worker ever copies an instance
-  // another worker is mutating). The caller's instances run the last
-  // repetition: reset() wipes run state at every run start, so the serial
-  // path's post-campaign observable state is also exactly the last
-  // repetition's — diagnostics like the adaptive scheduler's final k and a
-  // predictor's stats stay worker-count-invariant.
-  std::vector<std::unique_ptr<Scheduler>> clones(reps);
-  if (std::unique_ptr<Scheduler> probe = scheduler.clone()) {
-    clones[0] = std::move(probe);
-    for (std::size_t r = 1; r + 1 < reps; ++r) clones[r] = scheduler.clone();
-  }
-  std::vector<std::unique_ptr<AlarmSource>> alarm_clones(reps);
-  if (alarms != nullptr) {
-    if (std::unique_ptr<AlarmSource> probe = alarms->clone()) {
-      alarm_clones[0] = std::move(probe);
-      for (std::size_t r = 1; r + 1 < reps; ++r) alarm_clones[r] = alarms->clone();
-    }
-  }
-
-  common::PoolHandle pool(opts.pool, std::min(opts.workers, reps));
-  common::parallel_for_indexed(pool.get(), reps, [&](std::size_t r) {
-    const Scheduler& policy = clones[r] ? *clones[r] : scheduler;
-    const AlarmSource* source = alarm_clones[r] ? alarm_clones[r].get() : alarms;
-    run_rep(r, policy, source);
-  });
-  merge_events();
-  merge_metrics();
-  return summarize_campaign(results);
+  common::ordered_fold(pool ? &pool->get() : nullptr, reps, prepare, produce,
+                       consume);
+  return acc.summary();
 }
 
 }  // namespace shiraz::sim

@@ -112,8 +112,8 @@ struct CampaignOptions {
   common::ThreadPool* pool = nullptr;
   /// Campaign event sink (overrides EngineConfig::sink for this campaign).
   /// Events buffer per repetition and are delivered rep by rep — stamped with
-  /// Event::rep — after the runs, so the merged stream is identical for every
-  /// worker count.
+  /// Event::rep — once the repetition's fold window (common::ordered_fold)
+  /// has run, so the merged stream is identical for every worker count.
   obs::EventSink* sink = nullptr;
   /// Campaign metrics registry (overrides EngineConfig::metrics). Same
   /// purity and rep-order-merge contract as EngineConfig::metrics.
@@ -189,6 +189,11 @@ class Engine {
 
   /// run_many plus per-repetition spread: mean, stddev, 95% CI and range of
   /// every headline metric (see CampaignSummary). Same determinism guarantee.
+  /// Repetitions fold through common::ordered_fold into a
+  /// CampaignAccumulator, so the campaign holds one window of per-repetition
+  /// results (and clones), not `reps` of them. The repetitions before the
+  /// lowest failing one reach the sink and the registry; serially its
+  /// exception propagates at once, in parallel after every repetition ran.
   /// Stateful schedulers and alarm sources (clone() != nullptr) get a private
   /// copy per parallel repetition; the caller's instances run the last
   /// repetition so post-campaign diagnostics (and predictor stats) match the

@@ -1,7 +1,6 @@
 #include "sim/metrics.h"
 
 #include "common/error.h"
-#include "common/statistics.h"
 
 namespace shiraz::sim {
 
@@ -37,48 +36,9 @@ const AppMetrics& SimResult::app(const std::string& name) const {
 }
 
 SimResult average(const std::vector<SimResult>& results) {
-  SHIRAZ_REQUIRE(!results.empty(), "cannot average zero results");
-  SimResult mean = results.front();
-  const double n = static_cast<double>(results.size());
-  for (std::size_t r = 1; r < results.size(); ++r) {
-    const SimResult& x = results[r];
-    SHIRAZ_REQUIRE(x.apps.size() == mean.apps.size(), "result layouts differ");
-    for (std::size_t i = 0; i < x.apps.size(); ++i) {
-      mean.apps[i].useful += x.apps[i].useful;
-      mean.apps[i].io += x.apps[i].io;
-      mean.apps[i].lost += x.apps[i].lost;
-      mean.apps[i].restart += x.apps[i].restart;
-      mean.apps[i].checkpoints += x.apps[i].checkpoints;
-      mean.apps[i].proactive_checkpoints += x.apps[i].proactive_checkpoints;
-      mean.apps[i].failures_hit += x.apps[i].failures_hit;
-    }
-    mean.idle += x.idle;
-    mean.truncated += x.truncated;
-    mean.failures += x.failures;
-    mean.switches += x.switches;
-    mean.alarms += x.alarms;
-    mean.proactive_checkpoints += x.proactive_checkpoints;
-    mean.wall += x.wall;
-  }
-  for (auto& a : mean.apps) {
-    a.useful /= n;
-    a.io /= n;
-    a.lost /= n;
-    a.restart /= n;
-    a.checkpoints = static_cast<std::size_t>(static_cast<double>(a.checkpoints) / n);
-    a.proactive_checkpoints =
-        static_cast<std::size_t>(static_cast<double>(a.proactive_checkpoints) / n);
-    a.failures_hit = static_cast<std::size_t>(static_cast<double>(a.failures_hit) / n);
-  }
-  mean.idle /= n;
-  mean.truncated /= n;
-  mean.wall /= n;
-  mean.failures = static_cast<std::size_t>(static_cast<double>(mean.failures) / n);
-  mean.switches = static_cast<std::size_t>(static_cast<double>(mean.switches) / n);
-  mean.alarms = static_cast<std::size_t>(static_cast<double>(mean.alarms) / n);
-  mean.proactive_checkpoints =
-      static_cast<std::size_t>(static_cast<double>(mean.proactive_checkpoints) / n);
-  return mean;
+  CampaignAccumulator acc;
+  for (const SimResult& r : results) acc.add(r);
+  return acc.mean();
 }
 
 namespace {
@@ -100,48 +60,96 @@ const AppSummary& CampaignSummary::app(const std::string& name) const {
   throw InvalidArgument("no app named " + name + " in campaign summary");
 }
 
-CampaignSummary summarize_campaign(const std::vector<SimResult>& per_rep) {
-  SHIRAZ_REQUIRE(!per_rep.empty(), "cannot summarize zero repetitions");
-  const std::size_t num_apps = per_rep.front().apps.size();
-  struct AppAccum {
-    RunningStats useful, io, lost, restart;
-  };
-  std::vector<AppAccum> app_accum(num_apps);
-  RunningStats total_useful, total_io, total_lost, idle, failures, switches;
-  for (const SimResult& r : per_rep) {
-    SHIRAZ_REQUIRE(r.apps.size() == num_apps, "result layouts differ");
-    for (std::size_t i = 0; i < num_apps; ++i) {
-      app_accum[i].useful.add(r.apps[i].useful);
-      app_accum[i].io.add(r.apps[i].io);
-      app_accum[i].lost.add(r.apps[i].lost);
-      app_accum[i].restart.add(r.apps[i].restart);
+void CampaignAccumulator::add(const SimResult& r) {
+  if (reps_ == 0) {
+    sum_ = r;
+    apps_.assign(r.apps.size(), AppAccum{});
+  } else {
+    SHIRAZ_REQUIRE(r.apps.size() == sum_.apps.size(), "result layouts differ");
+    for (std::size_t i = 0; i < r.apps.size(); ++i) {
+      AppMetrics& a = sum_.apps[i];
+      a.useful += r.apps[i].useful;
+      a.io += r.apps[i].io;
+      a.lost += r.apps[i].lost;
+      a.restart += r.apps[i].restart;
+      a.checkpoints += r.apps[i].checkpoints;
+      a.proactive_checkpoints += r.apps[i].proactive_checkpoints;
+      a.failures_hit += r.apps[i].failures_hit;
     }
-    total_useful.add(r.total_useful());
-    total_io.add(r.total_io());
-    total_lost.add(r.total_lost());
-    idle.add(r.idle);
-    failures.add(static_cast<double>(r.failures));
-    switches.add(static_cast<double>(r.switches));
+    sum_.idle += r.idle;
+    sum_.truncated += r.truncated;
+    sum_.failures += r.failures;
+    sum_.switches += r.switches;
+    sum_.alarms += r.alarms;
+    sum_.proactive_checkpoints += r.proactive_checkpoints;
+    sum_.wall += r.wall;
   }
+  ++reps_;
+  for (std::size_t i = 0; i < r.apps.size(); ++i) {
+    apps_[i].useful.add(r.apps[i].useful);
+    apps_[i].io.add(r.apps[i].io);
+    apps_[i].lost.add(r.apps[i].lost);
+    apps_[i].restart.add(r.apps[i].restart);
+  }
+  total_useful_.add(r.total_useful());
+  total_io_.add(r.total_io());
+  total_lost_.add(r.total_lost());
+  idle_.add(r.idle);
+  failures_.add(static_cast<double>(r.failures));
+  switches_.add(static_cast<double>(r.switches));
+}
 
-  CampaignSummary s;
-  s.reps = per_rep.size();
-  s.mean = average(per_rep);
-  s.apps.resize(num_apps);
-  for (std::size_t i = 0; i < num_apps; ++i) {
-    s.apps[i].name = per_rep.front().apps[i].name;
-    s.apps[i].useful = to_summary(app_accum[i].useful);
-    s.apps[i].io = to_summary(app_accum[i].io);
-    s.apps[i].lost = to_summary(app_accum[i].lost);
-    s.apps[i].restart = to_summary(app_accum[i].restart);
+SimResult CampaignAccumulator::mean() const {
+  SHIRAZ_REQUIRE(reps_ > 0, "cannot average zero results");
+  SimResult mean = sum_;
+  const double n = static_cast<double>(reps_);
+  for (auto& a : mean.apps) {
+    a.useful /= n;
+    a.io /= n;
+    a.lost /= n;
+    a.restart /= n;
+    a.checkpoints = static_cast<std::size_t>(static_cast<double>(a.checkpoints) / n);
+    a.proactive_checkpoints =
+        static_cast<std::size_t>(static_cast<double>(a.proactive_checkpoints) / n);
+    a.failures_hit = static_cast<std::size_t>(static_cast<double>(a.failures_hit) / n);
   }
-  s.total_useful = to_summary(total_useful);
-  s.total_io = to_summary(total_io);
-  s.total_lost = to_summary(total_lost);
-  s.idle = to_summary(idle);
-  s.failures = to_summary(failures);
-  s.switches = to_summary(switches);
+  mean.idle /= n;
+  mean.truncated /= n;
+  mean.wall /= n;
+  mean.failures = static_cast<std::size_t>(static_cast<double>(mean.failures) / n);
+  mean.switches = static_cast<std::size_t>(static_cast<double>(mean.switches) / n);
+  mean.alarms = static_cast<std::size_t>(static_cast<double>(mean.alarms) / n);
+  mean.proactive_checkpoints =
+      static_cast<std::size_t>(static_cast<double>(mean.proactive_checkpoints) / n);
+  return mean;
+}
+
+CampaignSummary CampaignAccumulator::summary() const {
+  SHIRAZ_REQUIRE(reps_ > 0, "cannot summarize zero repetitions");
+  CampaignSummary s;
+  s.reps = reps_;
+  s.mean = mean();
+  s.apps.resize(apps_.size());
+  for (std::size_t i = 0; i < apps_.size(); ++i) {
+    s.apps[i].name = sum_.apps[i].name;
+    s.apps[i].useful = to_summary(apps_[i].useful);
+    s.apps[i].io = to_summary(apps_[i].io);
+    s.apps[i].lost = to_summary(apps_[i].lost);
+    s.apps[i].restart = to_summary(apps_[i].restart);
+  }
+  s.total_useful = to_summary(total_useful_);
+  s.total_io = to_summary(total_io_);
+  s.total_lost = to_summary(total_lost_);
+  s.idle = to_summary(idle_);
+  s.failures = to_summary(failures_);
+  s.switches = to_summary(switches_);
   return s;
+}
+
+CampaignSummary summarize_campaign(const std::vector<SimResult>& per_rep) {
+  CampaignAccumulator acc;
+  for (const SimResult& r : per_rep) acc.add(r);
+  return acc.summary();
 }
 
 }  // namespace shiraz::sim

@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "common/statistics.h"
 #include "common/units.h"
 
 namespace shiraz::sim {
@@ -85,6 +86,33 @@ struct CampaignSummary {
   MetricSummary switches;
 
   const AppSummary& app(const std::string& name) const;
+};
+
+/// Streaming campaign merge: add() each repetition's result in repetition
+/// order, then mean() is bit-identical to average() and summary() to
+/// summarize_campaign() of the same results (both are loops over this
+/// class). Holds O(apps) state, so a campaign's merge does not grow with its
+/// repetition count.
+class CampaignAccumulator {
+ public:
+  /// Adds the next repetition; every result must have the first one's app
+  /// layout.
+  void add(const SimResult& r);
+
+  /// Element-wise mean so far. Throws when nothing was added.
+  SimResult mean() const;
+  /// Mean plus spread so far (see CampaignSummary). Throws when nothing was
+  /// added.
+  CampaignSummary summary() const;
+
+ private:
+  struct AppAccum {
+    RunningStats useful, io, lost, restart;
+  };
+  std::size_t reps_ = 0;
+  SimResult sum_;  ///< element-wise sums in repetition order
+  std::vector<AppAccum> apps_;
+  RunningStats total_useful_, total_io_, total_lost_, idle_, failures_, switches_;
 };
 
 /// Aggregates per-repetition results into a CampaignSummary. Throws when

@@ -218,28 +218,34 @@ std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& l
   traces.ensure(reps);
 
   const std::size_t n = static_cast<std::size_t>(k_hi - k_lo + 1);
-  std::vector<std::vector<SweepUseful>> per_rep(reps, std::vector<SweepUseful>(n));
   auto one_rep = [&](std::size_t r) {
+    std::vector<SweepUseful> row(n);
     flat_pair_sweep_rep(*lw_period, lw.delta, *hw_period, hw.delta, k_lo,
-                        engine.config(), traces.trace(r), per_rep[r]);
+                        engine.config(), traces.trace(r), row);
+    return row;
   };
-  if ((workers <= 1 && pool == nullptr) || reps == 1) {
-    for (std::size_t r = 0; r < reps; ++r) one_rep(r);
-  } else {
-    common::PoolHandle handle(pool, std::min(workers, reps));
-    common::parallel_for_indexed(handle.get(), reps, one_rep);
-  }
-
   // Merge in repetition order with sim::average's exact accumulation (sum in
   // order, then divide), so the means match run_many's bit for bit.
-  std::vector<SweepUseful> mean = per_rep.front();
-  const double dn = static_cast<double>(reps);
-  for (std::size_t r = 1; r < reps; ++r) {
-    for (std::size_t i = 0; i < n; ++i) {
-      mean[i].lw += per_rep[r][i].lw;
-      mean[i].hw += per_rep[r][i].hw;
+  std::vector<SweepUseful> mean;
+  auto add_rep = [&](std::size_t r, std::vector<SweepUseful>&& row) {
+    if (r == 0) {
+      mean = std::move(row);
+      return;
     }
+    for (std::size_t i = 0; i < n; ++i) {
+      mean[i].lw += row[i].lw;
+      mean[i].hw += row[i].hw;
+    }
+  };
+  std::optional<common::PoolHandle> pool_handle;
+  if ((workers > 1 || pool != nullptr) && reps > 1) {
+    pool_handle.emplace(pool, std::min(workers, reps));
   }
+  common::ordered_fold(
+      pool_handle ? &pool_handle->get() : nullptr, reps,
+      [](std::size_t, std::size_t) {}, one_rep, add_rep);
+
+  const double dn = static_cast<double>(reps);
   for (SweepUseful& u : mean) {
     u.lw /= dn;
     u.hw /= dn;

@@ -69,7 +69,7 @@ void TraceStore::note_materialized(const FailureTrace& trace) const {
   if (traces_metric_ == nullptr) return;
   traces_metric_->add(1);
   gaps_metric_->add(trace.size());
-  // Each trace holds one array: its failure times.
+  // Each trace holds one exact-size array: its failure times.
   resident_metric_->add(static_cast<double>(sizeof(Seconds) * trace.size()));
 }
 
@@ -117,7 +117,12 @@ std::size_t TraceStore::total_gaps() const {
 std::unique_ptr<FailureTrace> TraceStore::materialize(std::size_t rep) const {
   // The stream campaigns assign to repetition `rep` (see Engine::run_campaign).
   Rng rng = Rng(seed_).fork(rep);
-  return std::make_unique<FailureTrace>(FailureTrace::sample(process_, rng, horizon_));
+  // The process appends into the reused scratch buffer, so its growth slack
+  // stays there; the resident trace gets one allocation of exactly its size.
+  scratch_.clear();
+  process_(rng, horizon_, scratch_);
+  return std::make_unique<FailureTrace>(
+      std::vector<Seconds>(scratch_.begin(), scratch_.end()), horizon_);
 }
 
 }  // namespace shiraz::sim

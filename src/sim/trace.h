@@ -82,7 +82,10 @@ class FailureTrace {
 ///
 /// Thread-safe; campaigns call ensure() up front so parallel repetitions only
 /// read. Slots are stable (unique_ptr), so returned references survive later
-/// growth.
+/// growth. Each resident trace's array holds exactly size() failure times,
+/// so the resident-bytes gauge (set_metrics) is the real allocation. Memory
+/// is O(reps x gaps) by design: the store is what every campaign over the
+/// same seed replays.
 class TraceStore {
  public:
   /// Traces for `engine`'s failure process up to `engine.config().t_total`.
@@ -130,6 +133,9 @@ class TraceStore {
   Seconds horizon_;
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<FailureTrace>> traces_;
+  /// Gaps of the trace being materialized (guarded by mu_); each resident
+  /// trace is copied out of it at exact size.
+  mutable std::vector<Seconds> scratch_;
   obs::Counter* traces_metric_ = nullptr;   ///< traces materialized
   obs::Counter* gaps_metric_ = nullptr;     ///< gaps materialized
   obs::Counter* hits_metric_ = nullptr;     ///< trace() calls served cached

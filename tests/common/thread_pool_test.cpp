@@ -1,7 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -105,6 +108,34 @@ TEST(ParallelForIndexed, RethrowsAfterAllTasksComplete) {
                                     }),
                std::runtime_error);
   EXPECT_EQ(visited.load(), static_cast<int>(kN));
+}
+
+TEST(ParallelForIndexed, OneTaskPerWorkerRunsEveryIndexAndRethrowsTheLowest) {
+  // Two workers claim indices from one counter; 3 and 5 throw. While 3's
+  // worker waits, the other claims 4, 5, 6, ... in turn, so 6 starting means
+  // 5's exception has been recorded: 3 throws only then. Every index still
+  // runs, and 3's exception is the one rethrown although 5's came first.
+  ThreadPool pool(2);
+  constexpr std::size_t kN = 16;
+  std::vector<std::atomic<int>> visits(kN);
+  try {
+    parallel_for_indexed(pool, kN, [&visits](std::size_t i) {
+      visits[i].fetch_add(1);
+      if (i == 5) throw std::runtime_error("5");
+      if (i == 3) {
+        const auto deadline =
+            std::chrono::steady_clock::now() + std::chrono::seconds(10);
+        while (visits[6].load() == 0 && std::chrono::steady_clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        throw std::runtime_error("3");
+      }
+    });
+    FAIL() << "no exception rethrown";
+  } catch (const std::runtime_error& e) {
+    EXPECT_STREQ(e.what(), "3");
+  }
+  for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(visits[i].load(), 1) << i;
 }
 
 }  // namespace
