@@ -9,7 +9,8 @@
 // hit pattern a fleet of operators would produce.
 //
 // Reported: requests/s, exact p50/p95/p99/max per-request latency
-// (sched::summarize_samples order statistics over every request), and the
+// (sched::summarize_samples order statistics over every request; a
+// percentile with fewer than ten samples beyond it prints n/a), and the
 // daemon's cache hit ratio from its own `stats` op. `--json=FILE` dumps the
 // numbers for CI trend tracking (BENCH_serve.json).
 //
@@ -207,19 +208,34 @@ int main(int argc, char** argv) {
   table.add_row({"requests", std::to_string(total_requests)});
   table.add_row({"wall (s)", fmt(wall, 3)});
   table.add_row({"requests/s", fmt(rps, 0)});
-  table.add_row({"latency p50 (ms)", fmt(lat.p50 * 1e3, 3)});
-  table.add_row({"latency p95 (ms)", fmt(lat.p95 * 1e3, 3)});
-  table.add_row({"latency p99 (ms)", fmt(lat.p99 * 1e3, 3)});
+  json.metric("requests_per_sec", "1/s", rps);
+  // Tail rule: a percentile is reported only when at least kMinBeyond
+  // samples lie beyond it; otherwise the table says n/a with the sample
+  // count and how many lie beyond, and the JSON carries those two counts.
+  constexpr std::size_t kMinBeyond = 10;
+  const auto percentile_row = [&](const char* label, const char* key, double value) {
+    const auto beyond = static_cast<std::size_t>(std::count_if(
+        all_latencies.begin(), all_latencies.end(), [&](double x) { return x > value; }));
+    if (beyond >= kMinBeyond) {
+      table.add_row({label, fmt(value * 1e3, 3)});
+      json.metric(key, "s", value);
+      return;
+    }
+    table.add_row({label, "n/a (n=" + std::to_string(all_latencies.size()) + ", " +
+                              std::to_string(beyond) + " beyond)"});
+    json.metric(std::string(key) + "_samples", "count",
+                static_cast<double>(all_latencies.size()));
+    json.metric(std::string(key) + "_beyond", "count", static_cast<double>(beyond));
+  };
+  percentile_row("latency p50 (ms)", "latency_p50", lat.p50);
+  percentile_row("latency p95 (ms)", "latency_p95", lat.p95);
+  percentile_row("latency p99 (ms)", "latency_p99", lat.p99);
   table.add_row({"latency max (ms)", fmt(lat.max * 1e3, 3)});
   table.add_row({"cache hit ratio", fmt(hit_ratio, 4)});
   table.add_row({"cache entries", fmt(cache_entries, 0)});
   table.add_row({"divergent responses", std::to_string(divergent)});
   bench::print_table(table, flags);
 
-  json.metric("requests_per_sec", "1/s", rps);
-  json.metric("latency_p50", "s", lat.p50);
-  json.metric("latency_p95", "s", lat.p95);
-  json.metric("latency_p99", "s", lat.p99);
   json.metric("latency_max", "s", lat.max);
   json.metric("cache_hit_ratio", "ratio", hit_ratio);
   json.metric("cache_entries", "count", cache_entries);

@@ -65,8 +65,8 @@ struct EngineConfig {
   /// The kernel is bit-identical to the event loop (tests/sim/kernel_test),
   /// so this is purely a speed knob; false forces every Engine run through
   /// the event loop (benchmarking, differential testing). It does not reach
-  /// replay_pair_sweep (sim/optimizer.h), which always runs its count-table
-  /// sweep.
+  /// replay_pair_sweep (sim/optimizer.h), which always runs its own
+  /// segment-count sweep.
   bool flat_kernel = true;
   /// When non-null, every run counts into this registry (obs/metrics.h):
   /// repetitions evaluated, kernel-vs-event-loop dispatch, gaps consumed.

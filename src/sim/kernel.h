@@ -28,7 +28,7 @@
 //
 // This module replays single runs. A whole k range of ShirazPairScheduler
 // candidates is sim/optimizer.h's replay_pair_sweep, which keeps the same
-// contract with a count-table sweep of its own.
+// contract with closed-form segment counts of its own.
 #pragma once
 
 #include <vector>

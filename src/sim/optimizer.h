@@ -63,15 +63,32 @@ struct SweepUseful {
 /// the campaign-mean useful work of ShirazPairScheduler(k_lo + i) over
 /// repetitions [0, reps) of `traces`, bit-identical to running each candidate
 /// through Engine::run_many over the same store (enforced by
-/// tests/sim/trace_replay_test.cpp). Every candidate runs the light-weight
-/// app identically until its k-th checkpoint, so each gap's light-weight
-/// prefix is simulated once and shared across the range; only the (short)
-/// heavy-weight tails are per-candidate. The engine's restart and switch
-/// windows only shift where those segments start. Requires periodic
-/// schedules for both jobs (IntervalSchedule::period() non-null; the paper
-/// keeps checkpoints equidistant, Shiraz+'s stretch included) and k_lo >= 1.
-/// Always runs this count-table sweep, whatever EngineConfig::flat_kernel
-/// says.
+/// tests/sim/trace_replay_test.cpp and tests/sim/pair_sweep_test.cpp).
+///
+/// Every candidate runs the light-weight app identically until its k-th
+/// checkpoint, and each app's useful work is a count of completed segments
+/// turned into the engine's double by one table of iterated sums per sweep
+/// (`sum[m] = sum[m-1] + tau`, built on the calling thread as counts
+/// arrive). The counts are closed forms per gap: with S = tau + delta and L
+/// the gap's end (the next failure, or the horizon), the light-weight prefix
+/// completes min(k_hi, floor((L - start) / S_lw)) segments and candidate k's
+/// heavy-weight tail floor((L - start - switch - k S_lw) / S_hw), clamped
+/// at 0. The engine's segment ends are sequential sums that drift from
+/// start + j S by at most 2j u E (u = 2^-53, E bounding every time in the
+/// run), so a floor is taken only when its quotient keeps a fixed margin
+/// from every integer; any other gap — a failure on a segment end above all
+/// — replays the engine's comparisons segment by segment, and when the bound
+/// itself cannot be met for this horizon every gap does. The engine's
+/// restart and switch windows only shift where segments start. Light-weight
+/// counts go through a histogram of prefix lengths; heavy-weight tails are
+/// per candidate. With EngineConfig::metrics armed, the sweep counts
+/// `shiraz_sim_sweep_gaps_total` and `shiraz_sim_sweep_exact_gaps_total`
+/// (gaps the segment walk decided), merged in repetition order.
+///
+/// Requires periodic schedules for both jobs (IntervalSchedule::period()
+/// non-null; the paper keeps checkpoints equidistant, Shiraz+'s stretch
+/// included) and k_lo >= 1. Always runs this sweep, whatever
+/// EngineConfig::flat_kernel says.
 std::vector<SweepUseful> replay_pair_sweep(const Engine& engine, const SimJob& lw,
                                            const SimJob& hw, int k_lo, int k_hi,
                                            std::size_t reps, const TraceStore& traces,

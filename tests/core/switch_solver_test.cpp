@@ -1,5 +1,7 @@
 #include "core/switch_solver.h"
 
+#include <cstdint>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -22,10 +24,12 @@ AppSpec light(double delta_factor) { return {"lw", hours(0.5) / delta_factor, 1}
 // (the paper itself reports model-vs-sim differences up to 2).
 // -----------------------------------------------------------------------
 
+// No padding: gtest prints the param's bytes into the test name, and padding
+// bytes are uninitialized, so an int here made the names differ per build.
 struct Table2Case {
   double mtbf_hours;
   double delta_factor;
-  int paper_k;
+  std::int64_t paper_k;
 };
 
 class Table2SwitchPoint : public ::testing::TestWithParam<Table2Case> {};
