@@ -124,7 +124,6 @@ int main(int argc, char** argv) {
   for (const scenario::Scenario& sc : cases) {
     const reliability::FailureRegimePtr regime = sc.make_regime();
     const sim::TraceStore traces(*regime, run.seed, sc.horizon);
-    traces.ensure(run.reps);
 
     // Regime-shape diagnostics from repetition 0's gaps: how far from
     // renewal this scenario actually is. A trace keeps only failure times,

@@ -11,9 +11,9 @@
 //   sampled   every campaign re-samples its failure streams: each
 //             repetition batch-samples its own trace, replays it through
 //             the event loop and drops it (no store, per-campaign pools)
-//   replayed  a sim::TraceStore samples each stream once (build time is
-//             charged to this mode) and every campaign replays plain arrays
-//             through the event loop (flat_kernel off)
+//   replayed  a sim::TraceStore samples each stream once (in the first
+//             campaign's workers; charged to this mode) and every campaign
+//             replays plain arrays through the event loop (flat_kernel off)
 //   kernel    TraceStore + the flat replay kernel (sim/kernel.h): baseline
 //             campaigns through sim::try_flat_replay, the k range through
 //             sim::replay_pair_sweep — one replayed pass sharing each gap's

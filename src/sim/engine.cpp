@@ -437,7 +437,8 @@ CampaignSummary Engine::run_campaign(const std::vector<SimJob>& jobs,
                    "trace store was built for a different seed");
     SHIRAZ_REQUIRE(traces->horizon() >= config_.t_total,
                    "trace store horizon does not cover the engine horizon");
-    // Materialize up front so parallel repetitions only read the cache.
+    // Size the slot table once; each worker samples the repetitions it
+    // runs, off the store's lock, and replays them while they are in cache.
     traces->ensure(reps);
   }
   const AlarmSource* alarms = opts.alarms;

@@ -274,7 +274,6 @@ SimSwitchCandidate simulate_switch_point(const Engine& engine, const SimJob& lw,
   // failures identically regardless of policy), so the difference is pure
   // policy effect; the store makes the sharing explicit and samples once.
   TraceStore traces(engine, seed);
-  traces.ensure(reps);
   CampaignOptions opts;
   opts.workers = workers;
   opts.traces = &traces;
@@ -294,9 +293,9 @@ SimSwitchSolution find_fair_k_by_simulation(const Engine& engine, const SimJob& 
   const std::vector<SimJob> jobs{lw, hw};
 
   // Sample every repetition's failure stream once and spawn threads once:
-  // the baseline and all candidates replay the same store on the same pool.
+  // the baseline campaign's workers fill the store, and all candidates
+  // replay it on the same pool.
   TraceStore traces(engine, seed);
-  traces.ensure(reps);
   std::optional<common::ThreadPool> pool;
   if (workers > 1 && reps > 1) pool.emplace(std::min(workers, reps));
   CampaignOptions opts;

@@ -1,5 +1,10 @@
 #include "sim/trace.h"
 
+#include <sys/mman.h>
+
+#include <algorithm>
+#include <new>
+
 #include "obs/metrics.h"
 
 namespace shiraz::sim {
@@ -10,9 +15,22 @@ EngineConfig horizon_config(Seconds horizon) {
   config.t_total = horizon;
   return config;
 }
+
+/// Samples one repetition into the calling thread's reused buffer.
+const std::vector<Seconds>& scratch_gaps(const FailureProcess& process, Rng& rng,
+                                         Seconds horizon) {
+  thread_local std::vector<Seconds> scratch;
+  scratch.clear();
+  process(rng, horizon, scratch);
+  return scratch;
+}
+
+/// Size of one TraceStore chunk: hundreds of fig10 traces, and only the
+/// pages a store fills become resident.
+constexpr std::size_t kChunkBytes = std::size_t{1} << 20;
 }  // namespace
 
-FailureTrace::FailureTrace(std::vector<Seconds> gaps, Seconds horizon)
+FailureTrace::FailureTrace(std::pmr::vector<Seconds> gaps, Seconds horizon)
     : fail_times_(std::move(gaps)), horizon_(horizon) {
   SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
   SHIRAZ_REQUIRE(!fail_times_.empty(), "trace needs at least one gap");
@@ -32,16 +50,33 @@ FailureTrace::FailureTrace(std::vector<Seconds> gaps, Seconds horizon)
 
 FailureTrace FailureTrace::sample(const FailureProcess& process, Rng& rng,
                                   Seconds horizon) {
-  std::vector<Seconds> gaps;
-  process(rng, horizon, gaps);
-  return FailureTrace(std::move(gaps), horizon);
+  const std::vector<Seconds>& gaps = scratch_gaps(process, rng, horizon);
+  return FailureTrace(std::pmr::vector<Seconds>(gaps.begin(), gaps.end()), horizon);
+}
+
+TraceStore::Chunks::~Chunks() {
+  for (const auto& [base, length] : mapped_) munmap(base, length);
+}
+
+void* TraceStore::Chunks::do_allocate(std::size_t bytes, std::size_t align) {
+  std::size_t at = (used_ + align - 1) / align * align;
+  if (mapped_.empty() || at + bytes > mapped_.back().second) {
+    const std::size_t length = std::max(bytes, kChunkBytes);
+    void* base = mmap(nullptr, length, PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (base == MAP_FAILED) throw std::bad_alloc();
+    mapped_.emplace_back(static_cast<std::byte*>(base), length);
+    at = 0;
+  }
+  used_ = at + bytes;
+  return mapped_.back().first + at;
 }
 
 TraceStore::TraceStore(const Engine& engine, std::uint64_t seed)
     : TraceStore(engine, seed, engine.config().t_total) {}
 
 TraceStore::TraceStore(const Engine& engine, std::uint64_t seed, Seconds horizon)
-    : process_(engine.failure_process()), seed_(seed), horizon_(horizon) {
+    : process_(engine.failure_process()), master_(seed), horizon_(horizon) {
   SHIRAZ_REQUIRE(horizon_ > 0.0, "trace horizon must be positive");
 }
 
@@ -76,30 +111,39 @@ void TraceStore::note_materialized(const FailureTrace& trace) const {
 void TraceStore::ensure(std::size_t reps) const {
   const std::lock_guard<std::mutex> lock(mu_);
   if (traces_.size() < reps) traces_.resize(reps);
-  for (std::size_t r = 0; r < reps; ++r) {
-    if (!traces_[r]) {
-      traces_[r] = materialize(r);
-      note_materialized(*traces_[r]);
-    }
-  }
 }
 
 const FailureTrace& TraceStore::trace(std::size_t rep) const {
+  {
+    const std::lock_guard<std::mutex> lock(mu_);
+    if (traces_.size() <= rep) traces_.resize(rep + 1);
+    if (traces_[rep]) {
+      if (hits_metric_ != nullptr) hits_metric_->add(1);
+      return *traces_[rep];
+    }
+  }
+  // Sampled off the lock, on the stream campaigns assign to repetition `rep`
+  // (see Engine::run_campaign). Threads racing on one repetition draw the
+  // same doubles; the first to publish wins, and a loser's call counts as a
+  // hit, so the counters match a serial fill.
+  Rng rng = master_.fork(rep);
+  const std::vector<Seconds>& gaps = scratch_gaps(process_, rng, horizon_);
   const std::lock_guard<std::mutex> lock(mu_);
-  if (traces_.size() <= rep) traces_.resize(rep + 1);
-  if (!traces_[rep]) {
-    traces_[rep] = materialize(rep);
-    note_materialized(*traces_[rep]);
+  std::optional<FailureTrace>& slot = traces_[rep];
+  if (!slot) {
+    slot.emplace(std::pmr::vector<Seconds>(gaps.begin(), gaps.end(), &chunks_),
+                 horizon_);
+    note_materialized(*slot);
   } else if (hits_metric_ != nullptr) {
     hits_metric_->add(1);
   }
-  return *traces_[rep];
+  return *slot;
 }
 
 std::size_t TraceStore::materialized() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const std::unique_ptr<FailureTrace>& t : traces_) {
+  for (const std::optional<FailureTrace>& t : traces_) {
     if (t) ++n;
   }
   return n;
@@ -108,21 +152,10 @@ std::size_t TraceStore::materialized() const {
 std::size_t TraceStore::total_gaps() const {
   const std::lock_guard<std::mutex> lock(mu_);
   std::size_t n = 0;
-  for (const std::unique_ptr<FailureTrace>& t : traces_) {
+  for (const std::optional<FailureTrace>& t : traces_) {
     if (t) n += t->size();
   }
   return n;
-}
-
-std::unique_ptr<FailureTrace> TraceStore::materialize(std::size_t rep) const {
-  // The stream campaigns assign to repetition `rep` (see Engine::run_campaign).
-  Rng rng = Rng(seed_).fork(rep);
-  // The process appends into the reused scratch buffer, so its growth slack
-  // stays there; the resident trace gets one allocation of exactly its size.
-  scratch_.clear();
-  process_(rng, horizon_, scratch_);
-  return std::make_unique<FailureTrace>(
-      std::vector<Seconds>(scratch_.begin(), scratch_.end()), horizon_);
 }
 
 }  // namespace shiraz::sim

@@ -17,12 +17,17 @@
 // from generator state — so prediction runs replay unchanged too.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <memory>
+#include <deque>
+#include <memory_resource>
 #include <mutex>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/error.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "sim/engine.h"
 
@@ -45,12 +50,17 @@ namespace shiraz::sim {
 /// they all see the same doubles. A gap is not recoverable as a difference
 /// of failure times (that difference need not round back to the drawn gap);
 /// callers that need the gaps draw them from the process directly.
+///
+/// The array lives wherever `gaps` allocated it: the default heap for a live
+/// run, the store's chunks for a TraceStore trace.
 class FailureTrace {
  public:
-  FailureTrace(std::vector<Seconds> gaps, Seconds horizon);
+  FailureTrace(std::pmr::vector<Seconds> gaps, Seconds horizon);
 
   /// Samples one repetition of `process` from `rng` up to `horizon` — the
-  /// pass behind both Engine::run and TraceStore.
+  /// pass behind both Engine::run and TraceStore. The process appends into
+  /// the calling thread's reused buffer, so its growth slack stays there and
+  /// the trace gets one allocation of exactly its size.
   static FailureTrace sample(const FailureProcess& process, Rng& rng,
                              Seconds horizon);
 
@@ -65,13 +75,13 @@ class FailureTrace {
   /// hold: fail_times().back() >= horizon() and every earlier entry is
   /// < horizon(), so a replay that only advances while the next failure
   /// precedes the horizon never runs off the end.
-  const std::vector<Seconds>& fail_times() const { return fail_times_; }
+  const std::pmr::vector<Seconds>& fail_times() const { return fail_times_; }
 
   std::size_t size() const { return fail_times_.size(); }
   Seconds horizon() const { return horizon_; }
 
  private:
-  std::vector<Seconds> fail_times_;
+  std::pmr::vector<Seconds> fail_times_;
   Seconds horizon_;
 };
 
@@ -80,12 +90,20 @@ class FailureTrace {
 /// — the stream and the pass an Engine campaign without a store uses for
 /// repetition r.
 ///
-/// Thread-safe; campaigns call ensure() up front so parallel repetitions only
-/// read. Slots are stable (unique_ptr), so returned references survive later
-/// growth. Each resident trace's array holds exactly size() failure times,
-/// so the resident-bytes gauge (set_metrics) is the real allocation. Memory
-/// is O(reps x gaps) by design: the store is what every campaign over the
-/// same seed replays.
+/// Thread-safe. A repetition is sampled by the first thread that asks for
+/// it, outside the store's mutex, so a campaign's workers fill the store in
+/// parallel; the lock only guards the slot table and the publication of a
+/// finished trace. ensure() only reserves slots. Slots are stable (a deque
+/// grown at its end), so returned references survive later growth.
+///
+/// Each trace's array is copied at exact size into the store's own chunks
+/// (Chunks below), never into the sampling worker's malloc arena: there the
+/// long-lived traces would sit between the worker's short-lived
+/// per-repetition results and keep the arena from shrinking after each
+/// campaign. The resident-bytes gauge (set_metrics) counts the arrays; each
+/// chunk's unused tail is smaller than the trace that did not fit. Memory is
+/// O(reps x gaps) by design: the store is what every campaign over the same
+/// seed replays.
 class TraceStore {
  public:
   /// Traces for `engine`'s failure process up to `engine.config().t_total`.
@@ -100,7 +118,7 @@ class TraceStore {
   TraceStore(const reliability::FailureRegime& regime, std::uint64_t seed,
              Seconds horizon);
 
-  std::uint64_t seed() const { return seed_; }
+  std::uint64_t seed() const { return master_.seed(); }
   Seconds horizon() const { return horizon_; }
 
   /// Arms telemetry: subsequent materializations and lookups count into
@@ -111,10 +129,12 @@ class TraceStore {
   /// ensure()/trace() calls; arm before the campaigns start.
   void set_metrics(obs::MetricsRegistry* registry);
 
-  /// Materializes repetitions [0, reps) that are not yet cached.
+  /// Reserves slots for repetitions [0, reps); samples nothing.
   void ensure(std::size_t reps) const;
 
-  /// The trace of repetition `rep`, materializing it on first use.
+  /// The trace of repetition `rep`, materializing it on first use. Threads
+  /// racing on one fresh `rep` sample it alike; all get the first published
+  /// copy.
   const FailureTrace& trace(std::size_t rep) const;
 
   /// How many repetitions are currently materialized (laziness observable).
@@ -124,18 +144,35 @@ class TraceStore {
   std::size_t total_gaps() const;
 
  private:
-  std::unique_ptr<FailureTrace> materialize(std::size_t rep) const;
+  /// Page-mapped chunks the trace arrays are carved from in order (under
+  /// mu_), all unmapped with the store; deallocation is a no-op.
+  class Chunks final : public std::pmr::memory_resource {
+   public:
+    Chunks() = default;
+    Chunks(const Chunks&) = delete;
+    Chunks& operator=(const Chunks&) = delete;
+    ~Chunks() override;
+
+   private:
+    void* do_allocate(std::size_t bytes, std::size_t align) override;
+    void do_deallocate(void*, std::size_t, std::size_t) override {}
+    bool do_is_equal(const std::pmr::memory_resource& other) const noexcept override {
+      return this == &other;
+    }
+
+    std::vector<std::pair<std::byte*, std::size_t>> mapped_;  ///< base, length
+    std::size_t used_ = 0;  ///< bytes carved from mapped_.back()
+  };
+
   /// Counts one freshly materialized trace (call with mu_ held).
   void note_materialized(const FailureTrace& trace) const;
 
   FailureProcess process_;
-  std::uint64_t seed_;
+  const Rng master_;  ///< repetition r samples master_.fork(r)
   Seconds horizon_;
   mutable std::mutex mu_;
-  mutable std::vector<std::unique_ptr<FailureTrace>> traces_;
-  /// Gaps of the trace being materialized (guarded by mu_); each resident
-  /// trace is copied out of it at exact size.
-  mutable std::vector<Seconds> scratch_;
+  mutable Chunks chunks_;  ///< outlives traces_, whose arrays it holds
+  mutable std::deque<std::optional<FailureTrace>> traces_;
   obs::Counter* traces_metric_ = nullptr;   ///< traces materialized
   obs::Counter* gaps_metric_ = nullptr;     ///< gaps materialized
   obs::Counter* hits_metric_ = nullptr;     ///< trace() calls served cached

@@ -8,7 +8,10 @@
 // delivered event stream, the registry's counts, and the post-campaign state
 // of a stateful scheduler and alarm source (the caller's instances must run
 // the last repetition, and every clone must be made on the calling thread).
+// TraceFill checks the store behind a campaign at the same edges: the
+// workers sample it, and it must hold what a serial fill holds.
 #include <atomic>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <memory>
@@ -438,6 +441,140 @@ TEST(TraceStoreExactSize, TracesHoldExactlyTheirFailureTimes) {
   }
   EXPECT_EQ(registry.gauge("shiraz_trace_resident_bytes").value(),
             static_cast<double>(allocated));
+}
+
+// A store behind a campaign is filled by the campaign's workers, each
+// repetition sampled by its first reader off the store's lock. Whoever
+// samples it, every trace, count and summary must match a serial fill.
+
+/// The registry of a store filled serially with repetitions [0, reps): the
+/// counts a worker-filled store must reproduce.
+obs::MetricsSnapshot serial_fill_counts(const Engine& engine, std::size_t reps) {
+  obs::MetricsRegistry registry;
+  TraceStore serial(engine, kSeed);
+  serial.set_metrics(&registry);
+  for (std::size_t r = 0; r < reps; ++r) (void)serial.trace(r);
+  return registry.snapshot();
+}
+
+class TraceFill : public ::testing::TestWithParam<WindowParam> {};
+
+TEST_P(TraceFill, WorkersFillTheStoreBitForBit) {
+  const auto [reps, workers] = GetParam();
+  const Engine engine = make_engine(short_config());
+  const std::vector<SimJob> jobs = pair_jobs();
+  const AlternateAtFailure policy;
+  CampaignOptions opts;
+  opts.workers = workers;
+
+  obs::MetricsRegistry registry;
+  TraceStore filled(engine, kSeed);
+  filled.set_metrics(&registry);
+  opts.traces = &filled;
+  const CampaignSummary got = engine.run_campaign(jobs, policy, reps, kSeed, opts);
+  EXPECT_EQ(filled.materialized(), reps);
+  // Counters and the resident-bytes gauge: sums of integers, so the order
+  // the workers published in does not show.
+  const obs::MetricsSnapshot counts = registry.snapshot();
+  const obs::MetricsSnapshot want_counts = serial_fill_counts(engine, reps);
+  expect_same_counts(counts, want_counts);
+  ASSERT_EQ(counts.entries.size(), want_counts.entries.size());
+  for (std::size_t i = 0; i < counts.entries.size(); ++i) {
+    EXPECT_EQ(counts.entries[i].value, want_counts.entries[i].value)
+        << counts.entries[i].name;
+  }
+
+  // Every trace is the one FailureTrace::sample draws on the repetition's
+  // stream.
+  const Rng master(kSeed);
+  for (std::size_t r = 0; r < reps; ++r) {
+    Rng rng = master.fork(r);
+    const FailureTrace want =
+        FailureTrace::sample(engine.failure_process(), rng, engine.config().t_total);
+    EXPECT_EQ(filled.trace(r).fail_times(), want.fail_times()) << "rep " << r;
+  }
+
+  // The eager path: the store filled serially before the campaign starts.
+  TraceStore eager(engine, kSeed);
+  for (std::size_t r = 0; r < reps; ++r) (void)eager.trace(r);
+  opts.traces = &eager;
+  expect_same_campaign(got, engine.run_campaign(jobs, policy, reps, kSeed, opts));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Edges, TraceFill,
+    ::testing::Combine(::testing::Values(std::size_t{1}, kW - 1, kW, kW + 1,
+                                         2 * kW + 1),
+                       ::testing::Values(std::size_t{1}, std::size_t{2},
+                                         std::size_t{4})),
+    [](const ::testing::TestParamInfo<WindowParam>& info) {
+      return "reps" + std::to_string(std::get<0>(info.param)) + "_jobs" +
+             std::to_string(std::get<1>(info.param));
+    });
+
+TEST(TraceFill, CallerSamplesNoneOfTheRepetitions) {
+  // A recording sampler: every gap it draws notes whether the calling thread
+  // drew it. Exponential gaps, mean five hours.
+  const std::thread::id self = std::this_thread::get_id();
+  std::atomic<std::size_t> on_caller{0};
+  std::atomic<std::size_t> drawn{0};
+  const Engine engine(
+      [&](Rng& rng, Seconds) {
+        drawn.fetch_add(1);
+        if (std::this_thread::get_id() == self) on_caller.fetch_add(1);
+        return -hours(kMtbfHours) * std::log1p(-rng.uniform());
+      },
+      short_config());
+  const TraceStore traces(engine, kSeed);
+  CampaignOptions opts;
+  opts.workers = 2;
+  opts.traces = &traces;
+  const std::size_t reps = kW + 1;
+  (void)engine.run_campaign(pair_jobs(), AlternateAtFailure{}, reps, kSeed, opts);
+  EXPECT_EQ(traces.materialized(), reps);
+  EXPECT_GT(drawn.load(), reps);
+  EXPECT_EQ(on_caller.load(), 0u);
+}
+
+TEST(TraceFill, RacingReadersShareOneTrace) {
+  // Four threads read the same fresh repetitions in the same order, released
+  // together, so they race on each one. Every repetition is published once:
+  // one address for all four readers, one materialization, three hits.
+  constexpr std::size_t kThreads = 4;
+  constexpr std::size_t kReps = 64;
+  const Engine engine = make_engine(short_config());
+  obs::MetricsRegistry registry;
+  TraceStore traces(engine, kSeed);
+  traces.set_metrics(&registry);
+  std::vector<std::vector<const FailureTrace*>> seen(
+      kThreads, std::vector<const FailureTrace*>(kReps, nullptr));
+  std::atomic<bool> go{false};
+  std::vector<std::thread> readers;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    readers.emplace_back([&, t] {
+      while (!go.load()) std::this_thread::yield();
+      for (std::size_t r = 0; r < kReps; ++r) seen[t][r] = &traces.trace(r);
+    });
+  }
+  go.store(true);
+  for (std::thread& th : readers) th.join();
+
+  const Rng master(kSeed);
+  for (std::size_t r = 0; r < kReps; ++r) {
+    for (std::size_t t = 1; t < kThreads; ++t) {
+      EXPECT_EQ(seen[t][r], seen[0][r]) << "rep " << r << ", thread " << t;
+    }
+    Rng rng = master.fork(r);
+    EXPECT_EQ(seen[0][r]->fail_times(),
+              FailureTrace::sample(engine.failure_process(), rng,
+                                   engine.config().t_total)
+                  .fail_times())
+        << "rep " << r;
+  }
+  EXPECT_EQ(traces.materialized(), kReps);
+  EXPECT_EQ(registry.counter("shiraz_trace_traces_materialized_total").value(), kReps);
+  EXPECT_EQ(registry.counter("shiraz_trace_replay_hits_total").value(),
+            (kThreads - 1) * kReps);
 }
 
 }  // namespace

@@ -188,18 +188,26 @@ TEST(TraceReplay, StoreMaterializesLazily) {
   EXPECT_EQ(traces.materialized(), 0u);
   EXPECT_EQ(traces.total_gaps(), 0u);
 
+  // ensure() only reserves slots; it samples nothing.
+  traces.ensure(4);
+  EXPECT_EQ(traces.materialized(), 0u);
+  EXPECT_EQ(traces.total_gaps(), 0u);
+
+  // trace(r) materializes exactly r, inside or past the reserved slots.
   const FailureTrace& t3 = traces.trace(3);
   EXPECT_EQ(traces.materialized(), 1u);
   EXPECT_GT(t3.size(), 0u);
+  EXPECT_EQ(traces.total_gaps(), t3.size());
+  const FailureTrace& t6 = traces.trace(6);
+  EXPECT_EQ(traces.materialized(), 2u);
+  EXPECT_EQ(traces.total_gaps(), t3.size() + t6.size());
 
-  traces.ensure(2);
-  EXPECT_EQ(traces.materialized(), 3u);
-  EXPECT_GE(traces.total_gaps(), t3.size());
-
-  // ensure() below the high-water mark is a no-op; repeated access is stable.
-  traces.ensure(2);
-  EXPECT_EQ(traces.materialized(), 3u);
+  // Growing the table leaves addresses alone; repeated access is stable.
+  traces.ensure(64);
+  EXPECT_EQ(traces.materialized(), 2u);
   EXPECT_EQ(&traces.trace(3), &t3);
+  EXPECT_EQ(&traces.trace(6), &t6);
+  EXPECT_EQ(traces.materialized(), 2u);
 }
 
 TEST(TraceReplay, TraceEndsAtFirstGapCrossingHorizon) {
